@@ -110,17 +110,22 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
         parts = lines[idx].split()
         if parts[0] != "tensor" or len(parts) != 4:
             raise CheckpointError(f"{path}: malformed tensor header {lines[idx]!r}")
-        name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-        idx += 1
-        if cols == 0:
-            tensors[name] = np.array([float(v) for v in lines[idx].split()])
+        try:
+            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
             idx += 1
-        else:
-            data = []
-            for _ in range(rows):
-                data.append([float(v) for v in lines[idx].split()])
+            if cols == 0:
+                tensors[name] = np.array([float(v) for v in lines[idx].split()])
                 idx += 1
-            tensors[name] = np.array(data)
+            else:
+                data = []
+                for _ in range(rows):
+                    data.append([float(v) for v in lines[idx].split()])
+                    idx += 1
+                tensors[name] = np.array(data)
+        except (IndexError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: truncated or malformed tensor {parts[1]} ({exc})"
+            ) from None
 
     # reassemble in canonical order; fail loudly on missing/mismatched tensors
     template = unflatten_parameters(config, np.zeros(parameter_count(config)))

@@ -233,30 +233,36 @@ def cmd_run_experiment(args) -> int:
     return 0
 
 
+def _load_report(path: str) -> metrics.ExperimentReport:
+    """An ExperimentReport (summary only) from a run's report.json."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"report not found: {path}")
+    try:
+        data = json.loads(p.read_text())
+        return metrics.ExperimentReport(
+            scenario=data["scenario"], predictor=data["predictor"],
+            seed=data["seed"], config_digest=data["config_digest"],
+            intervals=[], summary=metrics.RunSummary(**data["summary"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: not a run report ({exc!r})") from None
+
+
 def cmd_compare(args) -> int:
-    reports = []
-    for path in args.reports:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"report not found: {path}")
-        reports.append(json.loads(p.read_text()))
+    reports = [_load_report(path) for path in args.reports]
     if len(reports) < 2:
         raise ConfigError("need at least two reports to compare")
-    base = reports[0]
+    try:
+        rows = [metrics.compare(reports[0], other) for other in reports[1:]]
+        lines = [f"{c.scenario},{c.seed},{c.baseline_predictor},"
+                 f"{c.other_predictor},{c.loss_delta:.6f},"
+                 f"{c.delay_delta_ms:.6f},{c.throughput_delta_kbps:.6f}"
+                 for c in rows]
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from None
     print("scenario,seed,baseline,other,loss_delta,delay_delta_ms,"
           "throughput_delta_kbps")
-    for other in reports[1:]:
-        if other["scenario"] != base["scenario"] or other["seed"] != base["seed"]:
-            raise ConfigError(
-                f"cannot pair reports: {base['scenario']}/{base['seed']} vs "
-                f"{other['scenario']}/{other['seed']}")
-        loss_d = other["summary"]["loss_rate"] - base["summary"]["loss_rate"]
-        delay_d = (other["summary"]["mean_delay_ms"]
-                   - base["summary"]["mean_delay_ms"])
-        thr_d = (other["summary"]["mean_throughput_kbps"]
-                 - base["summary"]["mean_throughput_kbps"])
-        print(f"{base['scenario']},{base['seed']},{base['predictor']},"
-              f"{other['predictor']},{loss_d:.6f},{delay_d:.6f},{thr_d:.6f}")
+    print("\n".join(lines))
     return 0
 
 

@@ -1,10 +1,14 @@
 """Threshold-driven congestion controller.
 
-Class probabilities collapse to a scalar score (expected congestion level,
-weights 0 / 0.5 / 1 by default).  A score below the 0.5 threshold means no
-action; at or above the threshold, a non-decreasing score triggers traffic
-shaping and a declining one a QoS adjustment.  The controller warms up until
-its rolling window holds a full model input and issues no action before that.
+Every predictor runs the same control step: push the new telemetry record
+into a rolling window, issue no action until the window is full, then score
+the window on [0,1], quantize the score and apply the threshold policy.  A
+score below the 0.5 threshold means no action; at or above the threshold, a
+non-decreasing score triggers traffic shaping and a declining one a QoS
+adjustment.  Predictors differ only in their window length and scorer: the
+LSTM collapses its class probabilities into an expected congestion level
+(weights 0 / 0.5 / 1 by default), the fuzzy baseline defuzzifies its rule
+base, and the uncontrolled baseline has no scorer and never acts.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import fls, nn
 from .telemetry import NormalizationStats, TelemetryRecord, records_to_matrix
 
 
@@ -34,7 +39,6 @@ class ControlAction(Enum):
 @dataclass
 class PolicyConfig:
     threshold: float = 0.5
-    control_interval_s: float = 10.0
     score_weights: tuple[float, float, float] = (0.0, 0.5, 1.0)
     # Scores are quantized before the rise/fall comparison; raw softmax
     # scores jitter at the 1e-6 scale near saturation, which would make
@@ -94,85 +98,66 @@ class ControllerState:
         return len(self.window) >= self.window_length
 
 
-class LstmController:
-    """Closed-loop predictor: window the incoming telemetry, normalize with
-    the training-time stats, run the model, score, decide."""
+class Controller:
+    """The one closed-loop control step.  Subclasses supply `score_window`;
+    without it this is the uncontrolled baseline, which never acts."""
 
-    predictor_id = "lstm"
+    predictor_id = "none"
+    score_window = None  # (window of records) -> score in [0,1]
 
-    def __init__(self, model, stats: NormalizationStats,
-                 policy: PolicyConfig | None = None, window_length: int = 10):
-        from . import nn  # local import to avoid a cycle at module load
-        self._nn = nn
-        if stats.minimum.shape[0] != model.config.features:
-            raise ValueError("normalization stats do not match model features")
-        self.model = model
-        self.stats = stats
+    def __init__(self, window_length: int = 1,
+                 policy: PolicyConfig | None = None):
         self.policy = policy or PolicyConfig()
         self.state = ControllerState(window_length=window_length)
         self.last_score: float | None = None
 
     def control_step(self, record: TelemetryRecord) -> ControlAction:
         self.state.push(record)
-        if not self.state.warmed_up:
+        if self.score_window is None or not self.state.warmed_up:
             self.last_score = None
             return ControlAction.NONE
-        inputs = self.stats.transform(records_to_matrix(list(self.state.window)))
-        probs, _ = self._nn.forward(self.model, inputs, train=False)
-        score = self.policy.quantize(
-            congestion_score(probs, self.policy.score_weights))
+        score = self.policy.quantize(self.score_window(self.state.window))
         action = decide(score, self.state.previous_score, self.policy.threshold)
         self.state.previous_score = score
         self.last_score = score
         return action
 
-    __call__ = control_step
+
+class LstmController(Controller):
+    """Normalize the window with the training-time stats, run the model and
+    score its class probabilities."""
+
+    predictor_id = "lstm"
+
+    def __init__(self, model, stats: NormalizationStats,
+                 policy: PolicyConfig | None = None, window_length: int = 10):
+        if stats.minimum.shape[0] != model.config.features:
+            raise ValueError("normalization stats do not match model features")
+        super().__init__(window_length, policy)
+        self.model = model
+        self.stats = stats
+
+    def score_window(self, window) -> float:
+        inputs = self.stats.transform(records_to_matrix(list(window)))
+        probs, _ = nn.forward(self.model, inputs, train=False)
+        return congestion_score(probs, self.policy.score_weights)
 
 
-class FlsController:
-    """Same policy surface as LstmController, scored by the fuzzy baseline."""
+class FlsController(Controller):
+    """Score the window's queue occupancy with the fuzzy baseline."""
 
     predictor_id = "fls"
 
     def __init__(self, fls_config=None, policy: PolicyConfig | None = None):
-        from . import fls
-        self._fls = fls
         self.config = fls_config or fls.FlsConfig()
-        self.policy = policy or PolicyConfig()
-        window = max(self.config.rsi_window + 1, self.config.trend_window)
-        self.state = ControllerState(window_length=window)
-        self.last_score: float | None = None
+        super().__init__(max(self.config.rsi_window + 1,
+                             self.config.trend_window), policy)
 
-    def control_step(self, record: TelemetryRecord) -> ControlAction:
-        self.state.push(record)
-        if not self.state.warmed_up:
-            self.last_score = None
-            return ControlAction.NONE
-        occ_series = [r.queue_occupancy for r in self.state.window]
-        rsi_value = self._fls.rsi(occ_series, self.config.rsi_window)
-        trend_value = self._fls.trend(occ_series, self.config.trend_window)
-        score = self.policy.quantize(self._fls.fls_score(
-            rsi_value, trend_value, record.queue_occupancy, self.config))
-        action = decide(score, self.state.previous_score, self.policy.threshold)
-        self.state.previous_score = score
-        self.last_score = score
-        return action
-
-    __call__ = control_step
-
-
-class NullController:
-    """No-op predictor used for uncontrolled baseline runs."""
-
-    predictor_id = "none"
-
-    def __init__(self):
-        self.last_score = None
-
-    def control_step(self, record: TelemetryRecord) -> ControlAction:
-        return ControlAction.NONE
-
-    __call__ = control_step
+    def score_window(self, window) -> float:
+        occupancy = [r.queue_occupancy for r in window]
+        return fls.fls_score(fls.rsi(occupancy, self.config.rsi_window),
+                             fls.trend(occupancy, self.config.trend_window),
+                             occupancy[-1], self.config)
 
 
 DECISION_LOG_HEADER = "time_s,score,threshold,action,throughput_kbps,predictor"

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import nn, simulator, telemetry, training
-from .controller import (ControlAction, DecisionEntry, FlsController,
-                         LstmController, NullController, PolicyConfig)
+from .controller import (ControlAction, Controller, DecisionEntry,
+                         FlsController, LstmController, PolicyConfig)
 from .simulator import LoadScenario, SimConfig
 
 
@@ -61,56 +61,21 @@ def train_pipeline(series_list: list[list[telemetry.TelemetryRecord]],
                    training_config: training.TrainingConfig,
                    window: int = 10,
                    chronological_split: bool = False) -> TrainedModel:
-    """ingest -> fit stats on the train split -> window -> split -> train.
+    """window -> split -> fit stats on the train split -> normalize -> train.
 
-    To keep the normalization honest, records are first windowed with
-    identity stats to determine the split membership, then stats are fitted
-    on the records underlying the training portion only.
+    Raw windows are split before any normalization, so the min/max stats
+    are fitted on the rows of the training windows only.  Series shorter
+    than window+1 records are skipped.
     """
-    all_records = [rec for series in series_list for rec in series]
-    if not all_records:
-        raise telemetry.TelemetryError("no telemetry records to train on")
-
-    # provisional split on raw (un-normalized) windows to find the train share
-    identity = telemetry.NormalizationStats(
-        [0.0] * telemetry.FEATURE_COUNT, [1.0] * telemetry.FEATURE_COUNT)
-    raw_samples = []
-    sample_records = []  # the label-step record of each sample
-    for series in series_list:
-        if len(series) < window + 1:
-            continue
-        mat = telemetry.records_to_matrix(series)
-        for t in range(window, len(series)):
-            raw_samples.append((mat[t - window:t], series[t].label))
-            sample_records.append(series[t])
-    if len(raw_samples) < 10:
-        raise telemetry.TelemetryError(
-            f"only {len(raw_samples)} windowed samples; need at least 10")
-
-    n = len(raw_samples)
-    order = np.arange(n)
-    if not chronological_split:
-        rng = np.random.default_rng(training_config.seed)
-        rng.shuffle(order)
-    n_train = int(np.floor(0.8 * n))
-    n_val = int(np.floor(0.1 * n))
-
-    train_idx = order[:n_train]
-    train_feature_rows = np.concatenate(
-        [raw_samples[i][0] for i in train_idx])
-    stats = telemetry.NormalizationStats(
-        train_feature_rows.min(axis=0), train_feature_rows.max(axis=0))
-
-    def build(idx_list):
-        return [telemetry.SequenceSample(
-            inputs=stats.transform(raw_samples[i][0]),
-            target=telemetry.one_hot(raw_samples[i][1])) for i in idx_list]
-
-    split = telemetry.DatasetSplit(
-        train=build(train_idx),
-        validation=build(order[n_train:n_train + n_val]),
-        test=build(order[n_train + n_val:]),
-    )
+    raw = telemetry.split_dataset(
+        [sample for series in series_list if len(series) > window
+         for sample in telemetry.raw_windows(series, window)],
+        seed=training_config.seed, chronological=chronological_split)
+    rows = np.concatenate([sample.inputs for sample in raw.train])
+    stats = telemetry.NormalizationStats(rows.min(axis=0), rows.max(axis=0))
+    split = telemetry.DatasetSplit(*(
+        [telemetry.SequenceSample(stats.transform(s.inputs), s.target)
+         for s in part] for part in (raw.train, raw.validation, raw.test)))
 
     model = nn.init_parameters(
         model_config, seed=derive_seed(training_config.seed, "init"))
@@ -128,7 +93,7 @@ def make_controller(predictor: str, model=None, stats=None,
     if predictor == "fls":
         return FlsController(fls_config=fls_config, policy=policy)
     if predictor == "none":
-        return NullController()
+        return Controller(policy=policy)
     raise ValueError(f"unknown predictor {predictor!r}")
 
 

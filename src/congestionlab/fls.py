@@ -78,11 +78,6 @@ class TriangularPartition:
         return deg
 
 
-def fuzzify(value: float, partition: TriangularPartition) -> np.ndarray:
-    """Membership degrees of `value` in each of the partition's three terms."""
-    return partition.membership(value)
-
-
 @dataclass
 class SymmetricOutputPartition:
     """Three non-overlapping symmetric triangles inside [0,1].
@@ -153,9 +148,9 @@ def fls_score(rsi_value: float, trend_value: float, occupancy: float,
               config: FlsConfig | None = None) -> float:
     """Mamdani min-max inference + centroid defuzzification onto [0,1]."""
     config = config or FlsConfig()
-    deg_r = fuzzify(rsi_value, config.rsi_partition)
-    deg_t = fuzzify(trend_value, config.trend_partition)
-    deg_o = fuzzify(occupancy, config.occupancy_partition)
+    deg_r = config.rsi_partition.membership(rsi_value)
+    deg_t = config.trend_partition.membership(trend_value)
+    deg_o = config.occupancy_partition.membership(occupancy)
 
     # rule firing strengths aggregated per output term (max over rules)
     strength = np.zeros(3)

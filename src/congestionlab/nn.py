@@ -6,10 +6,11 @@ classifier reads only the final step's top-layer hidden state through a dense
 softmax head.  Dropout (inverted, train-time scaled) sits between the two
 recurrent layers.
 
-The forward pass keeps a full trace (gate activations, cell states, dropout
-masks) so backpropagation through time can be run over it afterwards.
-All arrays are float64; a batch axis B is carried throughout, and the
-single-sample entry points are thin wrappers over the batched core.
+`forward_batch` is the only implementation of the recurrence.  It runs a
+(B, T, F) batch from a zero initial state and keeps a full trace (gate
+activations, cell states, dropout masks) so backpropagation through time can
+be run over it afterwards; `forward` is the same call at B=1 for one (T, F)
+window.  All arrays are float64.
 """
 
 from __future__ import annotations
@@ -99,16 +100,6 @@ class DenseParameters:
 
 
 @dataclass
-class LstmLayerState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden_units: int) -> "LstmLayerState":
-        return cls(np.zeros(hidden_units), np.zeros(hidden_units))
-
-
-@dataclass
 class ModelParameters:
     config: ModelConfig
     layers: list[LstmLayerParameters]
@@ -116,19 +107,6 @@ class ModelParameters:
 
     def copy(self) -> "ModelParameters":
         return unflatten_parameters(self.config, flatten_parameters(self))
-
-
-@dataclass
-class GateRecord:
-    """Per-step activations retained for backpropagation."""
-
-    z: np.ndarray        # concatenated [h_prev, x]
-    i: np.ndarray
-    f: np.ndarray
-    c_tilde: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    h: np.ndarray
 
 
 @dataclass
@@ -152,25 +130,6 @@ class ForwardTrace:
     probabilities: np.ndarray | None = None  # (B, classes)
 
 
-def lstm_step(params: LstmLayerParameters, state: LstmLayerState,
-              x_t: np.ndarray) -> tuple[LstmLayerState, GateRecord]:
-    """One recurrent step: gates on [h_prev, x], cell update, gated output."""
-    x_t = np.asarray(x_t, dtype=float)
-    if x_t.shape != (params.input_width,):
-        raise ValueError(
-            f"input width {x_t.shape} incompatible with parameters "
-            f"(expected ({params.input_width},))")
-    z = np.concatenate([state.h, x_t])
-    i = sigmoid(params.w_i @ z + params.b_i)
-    f = sigmoid(params.w_f @ z + params.b_f)
-    c_tilde = np.tanh(params.w_c @ z + params.b_c)
-    c = f * state.c + i * c_tilde
-    o = sigmoid(params.w_o @ z + params.b_o)
-    h = o * np.tanh(c)
-    rec = GateRecord(z=z, i=i, f=f, c_tilde=c_tilde, o=o, c=c, h=h)
-    return LstmLayerState(h=h, c=c), rec
-
-
 def dense_softmax(params: DenseParameters, h: np.ndarray) -> np.ndarray:
     """Class probabilities from a hidden vector (or batch of them)."""
     logits = np.asarray(h, dtype=float) @ params.w_out.T + params.b_out
@@ -183,6 +142,22 @@ def predict_class(probabilities) -> CongestionLevel:
     # reversed argmax returns the last index among tied maxima
     idx = len(p) - 1 - int(np.argmax(p[::-1]))
     return CongestionLevel(idx)
+
+
+def apply_dropout(h: np.ndarray, rate: float = 0.2,
+                  rng: np.random.Generator | None = None,
+                  train: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted dropout: zero with probability `rate`, scale survivors by
+    1/(1-rate).  Identity (all-ones mask) in inference mode or at rate 0."""
+    h = np.asarray(h, dtype=float)
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("dropout rate must be in [0,1)")
+    if not train or rate == 0.0:
+        return h, np.ones_like(h)
+    if rng is None:
+        raise ValueError("train-mode dropout needs an rng")
+    mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
+    return h * mask, mask
 
 
 def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = False,
@@ -236,18 +211,12 @@ def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = Fals
 
         layer_output = h_all[1:]  # (T, B, H)
         if layer_idx < len(model.layers) - 1:
-            if train and cfg.dropout_rate > 0.0:
-                if dropout_masks is not None:
-                    mask = dropout_masks[layer_idx]
-                else:
-                    if rng is None:
-                        raise ValueError("train-mode forward needs an rng "
-                                         "or precomputed dropout masks")
-                    keep = rng.random(layer_output.shape) >= cfg.dropout_rate
-                    mask = keep / (1.0 - cfg.dropout_rate)
+            if train and cfg.dropout_rate > 0.0 and dropout_masks is not None:
+                mask = dropout_masks[layer_idx]
                 layer_output = layer_output * mask
             else:
-                mask = np.ones_like(layer_output)
+                layer_output, mask = apply_dropout(
+                    layer_output, cfg.dropout_rate, rng, train)
             trace.dropout_masks.append(mask)
         layer_input = layer_output
 
@@ -262,7 +231,8 @@ def forward(model: ModelParameters, sample_inputs: np.ndarray, train: bool = Fal
             rng: np.random.Generator | None = None,
             dropout_masks: list[np.ndarray] | None = None
             ) -> tuple[np.ndarray, ForwardTrace]:
-    """Single-sample forward over a (T, F) window."""
+    """forward_batch at B=1 over one (T, F) window; returns that sample's
+    probabilities and the batch trace."""
     inputs = np.asarray(sample_inputs, dtype=float)
     if inputs.ndim != 2:
         raise ValueError(f"expected (T, F) inputs, got shape {inputs.shape}")

@@ -10,6 +10,7 @@ immediately follows it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -65,6 +66,9 @@ class TelemetryRecord:
     empty_interval: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.timestamp_s, self.throughput_kbps,
+                                       self.delay_ms))):
+            raise TelemetryError("timestamp, throughput and delay must be finite")
         if not 0.0 <= self.packet_loss_rate <= 1.0:
             raise TelemetryError(
                 f"packet_loss_rate {self.packet_loss_rate} outside [0,1]")
@@ -164,11 +168,6 @@ class NormalizationStats:
         if np.any(self.maximum < self.minimum):
             raise ValueError("max < min in normalization stats")
 
-    @property
-    def constant_features(self) -> np.ndarray:
-        """Boolean mask of features whose observed range collapsed to a point."""
-        return self.maximum == self.minimum
-
     def transform(self, values: np.ndarray) -> np.ndarray:
         """Min-max map to [0,1], clamped; constant features map to 0."""
         values = np.asarray(values, dtype=float)
@@ -212,22 +211,25 @@ class SequenceSample:
     target: np.ndarray
 
 
-def window_sequences(records, stats: NormalizationStats,
-                     window: int = 10) -> list[SequenceSample]:
-    """Slide a stride-1 window; the sample at position t covers records
-    [t-window, t) and is labeled with record t's congestion level."""
+def raw_windows(records, window: int = 10) -> list[SequenceSample]:
+    """Slide a stride-1 window over the raw feature rows; the sample at
+    position t covers records [t-window, t) and is labeled with record t's
+    congestion level."""
     if len(records) < window + 1:
         raise TelemetryError(
             f"series length {len(records)} too short for window {window} "
             "(need at least window+1 records)")
-    mat = stats.transform(records_to_matrix(records))
-    samples = []
-    for t in range(window, len(records)):
-        samples.append(SequenceSample(
-            inputs=mat[t - window:t].copy(),
-            target=one_hot(records[t].label),
-        ))
-    return samples
+    mat = records_to_matrix(records)
+    return [SequenceSample(inputs=mat[t - window:t],
+                           target=one_hot(records[t].label))
+            for t in range(window, len(records))]
+
+
+def window_sequences(records, stats: NormalizationStats,
+                     window: int = 10) -> list[SequenceSample]:
+    """raw_windows normalized with `stats`."""
+    return [SequenceSample(stats.transform(s.inputs), s.target)
+            for s in raw_windows(records, window)]
 
 
 @dataclass

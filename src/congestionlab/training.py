@@ -1,4 +1,4 @@
-"""Training: cross-entropy loss, BPTT gradients, Adam, dropout, early stopping.
+"""Training: cross-entropy loss, BPTT gradients, Adam, early stopping.
 
 Gradients are exact analytic derivatives of cross_entropy(forward(x)) taken
 through the dense head, the inter-layer dropout masks, and every recurrent
@@ -80,22 +80,6 @@ def cross_entropy(probabilities, target) -> float:
     p = np.asarray(probabilities, dtype=float)
     y = np.asarray(target, dtype=float)
     return float(-(y * np.log(np.maximum(p, CE_FLOOR))).sum())
-
-
-def apply_dropout(h: np.ndarray, rate: float = 0.2,
-                  rng: np.random.Generator | None = None,
-                  train: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout: zero with probability `rate`, scale survivors by
-    1/(1-rate).  Identity (all-ones mask) in inference mode or at rate 0."""
-    h = np.asarray(h, dtype=float)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0,1)")
-    if not train or rate == 0.0:
-        return h, np.ones_like(h)
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
-    return h * mask, mask
 
 
 def backward(model: ModelParameters, trace: ForwardTrace,

@@ -25,9 +25,9 @@ import pytest
 from congestionlab import experiment, metrics, nn, telemetry, training
 from congestionlab.controller import ControlAction, decide, write_decision_log
 from congestionlab.fls import rsi, fls_score
-from congestionlab.nn import (LstmLayerParameters, LstmLayerState, ModelConfig,
-                              forward, forward_batch, init_parameters,
-                              lstm_step)
+from congestionlab.nn import (DenseParameters, LstmLayerParameters,
+                              ModelConfig, ModelParameters, forward,
+                              forward_batch, init_parameters)
 from congestionlab.simulator import (DelayBreakdown, IntervalStats,
                                      LoadScenario, SimConfig, run)
 from congestionlab.training import (backward, finite_difference_gradient,
@@ -143,15 +143,21 @@ class TestCriterion2ForwardOracle:
             worst = max(worst, float(np.abs(probs
                                             - _oracle_forward(model, x)).max()))
 
-        # hand case: H=2, D=1, all-ones weights, zero biases, x=0.5
+        # hand case: H=2, D=1, all-ones weights, zero biases, x=0.5; the
+        # hidden state after the single step of a 1-layer, T=1 forward
         ones = np.ones((2, 3))
         zeros = np.zeros(2)
         lp = LstmLayerParameters(w_i=ones.copy(), w_f=ones.copy(),
                                  w_c=ones.copy(), w_o=ones.copy(),
                                  b_i=zeros.copy(), b_f=zeros.copy(),
                                  b_c=zeros.copy(), b_o=zeros.copy())
-        state, _ = lstm_step(lp, LstmLayerState.zeros(2), np.array([0.5]))
-        hand_ok = f"{state.h[0]:.6f}" == "0.174270"
+        hand_model = ModelParameters(
+            config=ModelConfig(hidden_units=2, num_layers=1, features=1,
+                               dropout_rate=0.0),
+            layers=[lp], dense=DenseParameters(w_out=np.zeros((3, 2)),
+                                               b_out=np.zeros(3)))
+        _, trace = forward_batch(hand_model, np.full((1, 1, 1), 0.5))
+        hand_ok = f"{trace.layer_h[0][1][0, 0]:.6f}" == "0.174270"
 
         elapsed = time.monotonic() - t0
         passed = worst < 1e-10 and hand_ok and elapsed < 10.0

@@ -5,6 +5,7 @@ import pytest
 
 from congestionlab.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                                       save_checkpoint)
+from congestionlab.cli import main
 from congestionlab.nn import (ModelConfig, flatten_parameters,
                               init_parameters)
 from congestionlab.telemetry import NormalizationStats
@@ -94,6 +95,27 @@ class TestValidation:
         path.write_text(MAGIC + "\nlayers nope\n")
         with pytest.raises(CheckpointError, match="bad header"):
             load_checkpoint(path)
+
+    def test_truncated_file(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, small_model(), stats5())
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-3]) + "\n")
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+        assert main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(tmp_path)]) == 1
+
+    def test_garbled_tensor_header(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, small_model(), stats5())
+        text = path.read_text().replace("tensor layer0.w_f 3 8",
+                                        "tensor layer0.w_f three 8")
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match="layer0.w_f"):
+            load_checkpoint(path)
+        assert main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(tmp_path)]) == 1
 
     def test_norm_width_must_match_features(self, tmp_path):
         path = tmp_path / "ck.txt"

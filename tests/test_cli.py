@@ -65,6 +65,47 @@ class TestGenData:
         assert code == 1
 
 
+def write_report(path, predictor, loss_rate, mean_delay_ms=20.0):
+    summary = dict(loss_rate=loss_rate, mean_delay_ms=mean_delay_ms,
+                   median_interval_delay_ms=18.0, p95_interval_delay_ms=40.0,
+                   mean_throughput_kbps=80.0, total_injected=1000,
+                   total_dropped=int(1000 * loss_rate), actions_taken={})
+    path.write_text(json.dumps({"scenario": "high", "predictor": predictor,
+                                "seed": 7, "config_digest": "0" * 16,
+                                "summary": summary}))
+    return str(path)
+
+
+class TestCompare:
+    def test_paired_deltas_csv(self, tmp_path, capsys):
+        base = write_report(tmp_path / "a.json", "none", 0.25)
+        other = write_report(tmp_path / "b.json", "lstm", 0.125,
+                             mean_delay_ms=15.5)
+        assert main(["compare", base, other]) == 0
+        assert capsys.readouterr().out == (
+            "scenario,seed,baseline,other,loss_delta,delay_delta_ms,"
+            "throughput_delta_kbps\n"
+            "high,7,none,lstm,-0.125000,-4.500000,0.000000\n")
+
+    def test_non_json_report_is_error(self, tmp_path, capsys):
+        base = write_report(tmp_path / "a.json", "none", 0.25)
+        bad = tmp_path / "b.json"
+        bad.write_text("not json")
+        assert main(["compare", base, str(bad)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "b.json" in out.err
+
+    def test_empty_report_is_error(self, tmp_path, capsys):
+        base = write_report(tmp_path / "a.json", "none", 0.25)
+        empty = tmp_path / "b.json"
+        empty.write_text("{}")
+        assert main(["compare", base, str(empty)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "b.json" in out.err
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """gen-data -> train once; shared by the composition tests."""

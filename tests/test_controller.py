@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from congestionlab import experiment
-from congestionlab.controller import (ControlAction, DecisionEntry,
-                                      FlsController, LstmController,
-                                      NullController, PolicyConfig,
+from congestionlab.controller import (ControlAction, Controller,
+                                      DecisionEntry, FlsController,
+                                      LstmController, PolicyConfig,
                                       congestion_score, decide,
                                       write_decision_log,
                                       DECISION_LOG_HEADER)
@@ -144,7 +144,7 @@ class TestFlsController:
 
 class TestNullController:
     def test_always_none(self):
-        ctrl = NullController()
+        ctrl = Controller()
         for k in range(12):
             assert ctrl.control_step(make_record(float(k + 1), occ=0.99)) \
                 == ControlAction.NONE

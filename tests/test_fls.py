@@ -5,7 +5,7 @@ import pytest
 
 from congestionlab.fls import (FlsConfig, SymmetricOutputPartition,
                                TriangularPartition, default_rule_table,
-                               fls_score, fuzzify, rsi, trend)
+                               fls_score, rsi, trend)
 
 
 class TestRsi:
@@ -51,24 +51,24 @@ class TestTrend:
 class TestPartitions:
     def test_peak_membership(self):
         part = TriangularPartition((0.0, 0.5, 1.0))
-        np.testing.assert_allclose(fuzzify(0.0, part), [1, 0, 0])
-        np.testing.assert_allclose(fuzzify(0.5, part), [0, 1, 0])
-        np.testing.assert_allclose(fuzzify(1.0, part), [0, 0, 1])
+        np.testing.assert_allclose(part.membership(0.0), [1, 0, 0])
+        np.testing.assert_allclose(part.membership(0.5), [0, 1, 0])
+        np.testing.assert_allclose(part.membership(1.0), [0, 0, 1])
 
     def test_midpoint_half_half(self):
         part = TriangularPartition((0.0, 0.5, 1.0))
-        np.testing.assert_allclose(fuzzify(0.25, part), [0.5, 0.5, 0.0])
-        np.testing.assert_allclose(fuzzify(0.75, part), [0.0, 0.5, 0.5])
+        np.testing.assert_allclose(part.membership(0.25), [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(part.membership(0.75), [0.0, 0.5, 0.5])
 
     def test_out_of_universe_clamped(self):
         part = TriangularPartition((0.0, 0.5, 1.0))
-        np.testing.assert_allclose(fuzzify(-3.0, part), [1, 0, 0])
-        np.testing.assert_allclose(fuzzify(7.0, part), [0, 0, 1])
+        np.testing.assert_allclose(part.membership(-3.0), [1, 0, 0])
+        np.testing.assert_allclose(part.membership(7.0), [0, 0, 1])
 
     def test_adjacent_degrees_sum_to_one(self):
         part = TriangularPartition((0.0, 50.0, 100.0))
         for value in np.linspace(0.0, 100.0, 21):
-            assert fuzzify(value, part).sum() == pytest.approx(1.0)
+            assert part.membership(value).sum() == pytest.approx(1.0)
 
     def test_non_increasing_peaks_rejected(self):
         with pytest.raises(ValueError):

@@ -12,9 +12,9 @@ import pytest
 
 from congestionlab import nn
 from congestionlab.nn import (DenseParameters, LstmLayerParameters,
-                              LstmLayerState, ModelConfig, ModelParameters,
-                              dense_softmax, flatten_parameters, forward,
-                              init_parameters, lstm_step, parameter_count,
+                              ModelConfig, ModelParameters, dense_softmax,
+                              flatten_parameters, forward, forward_batch,
+                              init_parameters, parameter_count,
                               predict_class, sigmoid, softmax,
                               unflatten_parameters)
 from congestionlab.telemetry import CongestionLevel
@@ -106,23 +106,43 @@ def zero_layer(hid, din):
                                b_c=b.copy(), b_o=b.copy())
 
 
+def one_layer_trace(lp, inputs):
+    """forward_batch trace of a 1-layer model built around `lp`, over a
+    (T, D) input sequence at B=1."""
+    hid, din = lp.hidden_units, lp.input_width
+    cfg = ModelConfig(hidden_units=hid, num_layers=1, features=din,
+                      dropout_rate=0.0)
+    dense = DenseParameters(w_out=np.zeros((3, hid)), b_out=np.zeros(3))
+    model = ModelParameters(config=cfg, layers=[lp], dense=dense)
+    _, trace = forward_batch(model, np.asarray(inputs, dtype=float)[None])
+    return trace
+
+
 class TestLstmStep:
+    """Single recurrent steps, read from the forward_batch trace: gates at
+    step t are trace.layer_*[0][t], states after it trace.layer_h/c[0][t+1]."""
+
     def test_all_zero_parameters_zero_state(self):
-        state, rec = lstm_step(zero_layer(3, 2), LstmLayerState.zeros(3),
-                               np.zeros(2))
-        np.testing.assert_array_equal(rec.i, 0.5)
-        np.testing.assert_array_equal(rec.f, 0.5)
-        np.testing.assert_array_equal(rec.o, 0.5)
-        np.testing.assert_array_equal(rec.c_tilde, 0.0)
-        np.testing.assert_array_equal(state.c, 0.0)
-        np.testing.assert_array_equal(state.h, 0.0)
+        trace = one_layer_trace(zero_layer(3, 2), np.zeros((1, 2)))
+        np.testing.assert_array_equal(trace.layer_i[0][0], 0.5)
+        np.testing.assert_array_equal(trace.layer_f[0][0], 0.5)
+        np.testing.assert_array_equal(trace.layer_o[0][0], 0.5)
+        np.testing.assert_array_equal(trace.layer_c_tilde[0][0], 0.0)
+        np.testing.assert_array_equal(trace.layer_c[0][1], 0.0)
+        np.testing.assert_array_equal(trace.layer_h[0][1], 0.0)
 
     def test_zero_parameters_nonzero_cell(self):
-        c0 = np.array([0.4, -1.2, 2.0])
-        state, _ = lstm_step(zero_layer(3, 2),
-                             LstmLayerState(h=np.zeros(3), c=c0), np.zeros(2))
-        np.testing.assert_allclose(state.c, 0.5 * c0)
-        np.testing.assert_allclose(state.h, 0.5 * np.tanh(0.5 * c0))
+        # zero weights with a candidate bias: every gate is 0.5 and the
+        # candidate is tanh(b_c), so step 1 leaves a non-zero cell c1 that
+        # step 2 must carry through the forget gate
+        lp = zero_layer(3, 2)
+        lp.b_c = np.array([0.4, -1.2, 2.0])
+        trace = one_layer_trace(lp, np.zeros((2, 2)))
+        c1 = trace.layer_c[0][1][0]
+        np.testing.assert_allclose(c1, 0.5 * np.tanh(lp.b_c))
+        c2 = 0.5 * c1 + 0.5 * np.tanh(lp.b_c)
+        np.testing.assert_allclose(trace.layer_c[0][2][0], c2)
+        np.testing.assert_allclose(trace.layer_h[0][2][0], 0.5 * np.tanh(c2))
 
     def test_hand_case_h2_d1_all_ones(self):
         ones = np.ones((2, 3))
@@ -131,22 +151,24 @@ class TestLstmStep:
                                  w_c=ones.copy(), w_o=ones.copy(),
                                  b_i=zeros.copy(), b_f=zeros.copy(),
                                  b_c=zeros.copy(), b_o=zeros.copy())
-        state, rec = lstm_step(lp, LstmLayerState.zeros(2), np.array([0.5]))
+        trace = one_layer_trace(lp, [[0.5]])
+        c_state, h_state = trace.layer_c[0][1][0], trace.layer_h[0][1][0]
         # hand-computed: each pre-activation is 0.5
         gate = oracle_sigmoid(0.5)            # 0.6224593312018546
         c_tilde = math.tanh(0.5)              # 0.46211715726000974
         c_t = gate * c_tilde                  # 0.28764913664496794
         h_t = gate * math.tanh(c_t)           # 0.17426971865610508
-        np.testing.assert_allclose(rec.i, gate, atol=1e-12)
-        np.testing.assert_allclose(rec.c_tilde, c_tilde, atol=1e-12)
-        np.testing.assert_allclose(state.c, c_t, atol=1e-12)
-        np.testing.assert_allclose(state.h, h_t, atol=1e-12)
+        np.testing.assert_allclose(trace.layer_i[0][0], gate, atol=1e-12)
+        np.testing.assert_allclose(trace.layer_c_tilde[0][0], c_tilde,
+                                   atol=1e-12)
+        np.testing.assert_allclose(c_state, c_t, atol=1e-12)
+        np.testing.assert_allclose(h_state, h_t, atol=1e-12)
         # six printed digits of the frozen oracle value
-        assert f"{state.h[0]:.6f}" == "0.174270"
+        assert f"{h_state[0]:.6f}" == "0.174270"
 
     def test_input_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="input width"):
-            lstm_step(zero_layer(3, 2), LstmLayerState.zeros(3), np.zeros(5))
+        with pytest.raises(ValueError, match=r"expected \(B, T, 2\) inputs"):
+            one_layer_trace(zero_layer(3, 2), np.zeros((1, 5)))
 
 
 class TestForward:

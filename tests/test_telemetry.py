@@ -57,6 +57,21 @@ class TestRecord:
         with pytest.raises(TelemetryError):
             make_record(1.0, active_devices=-1)
 
+    def test_non_finite_values_rejected(self):
+        for field in ("timestamp_s", "throughput_kbps", "delay_ms",
+                      "packet_loss_rate", "queue_occupancy"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(TelemetryError):
+                    make_record(1.0, **{field: bad})
+
+    def test_nan_row_names_the_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(telemetry.CSV_HEADER
+                        + "\n10,59,12.5,0.01,0.35,40,low"
+                        + "\n11,nan,12.5,0.01,0.35,40,low\n")
+        with pytest.raises(TelemetryError, match=r"t\.csv:3: .*finite"):
+            ingest_csv(path)
+
     def test_timestamps_must_strictly_increase(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(telemetry.CSV_HEADER

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from congestionlab import nn, training
-from congestionlab.nn import (ModelConfig, flatten_parameters, forward,
-                              forward_batch, init_parameters, parameter_count,
-                              parameter_items, unflatten_parameters)
+from congestionlab.nn import (ModelConfig, apply_dropout, flatten_parameters,
+                              forward, forward_batch, init_parameters,
+                              parameter_count, parameter_items,
+                              unflatten_parameters)
 from congestionlab.telemetry import DatasetSplit, SequenceSample
 from congestionlab.training import (AdamState, TrainingConfig,
                                     TrainingDivergedError, adam_step, backward,
-                                    apply_dropout, batch_loss, clip_gradients,
+                                    batch_loss, clip_gradients,
                                     cross_entropy, evaluate,
                                     finite_difference_gradient,
                                     flatten_gradients, train)
