@@ -19,7 +19,7 @@ print(f"{'scenario':<10} {'load':>5} {'loss':>8} {'delay_ms':>10} "
       f"{'kbps':>8} {'label mix'}")
 for scenario in LoadScenario:
     cfg = dataclasses.replace(base, scenario=scenario)
-    result = run(cfg, record_packets=False)
+    result = run(cfg)
     loss = result.counters["dropped"] / max(result.counters["injected"], 1)
     delays = [r.delay_ms for r in result.telemetry if not r.empty_interval]
     kbps = np.mean([r.throughput_kbps for r in result.telemetry])
@@ -32,7 +32,7 @@ for scenario in LoadScenario:
 
 print("\nHigh-tier interval detail:")
 cfg = dataclasses.replace(base, scenario=LoadScenario.HIGH)
-result = run(cfg, record_packets=False)
+result = run(cfg)
 print(f"{'t_s':>6} {'occupancy':>10} {'loss':>7} {'delay_ms':>9} {'label':>7}")
 for rec in result.telemetry:
     print(f"{rec.timestamp_s:>6.0f} {rec.queue_occupancy:>10.3f} "

@@ -76,8 +76,11 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: not a congestionlab checkpoint")
 
@@ -101,6 +104,14 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
         )
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
+    if not np.isfinite([stats.minimum, stats.maximum]).all():
+        raise CheckpointError(f"{path}: non-finite normalization stats")
+    # every value takes at least one character: refuse a header that declares
+    # more layers or parameters than the file could hold before allocating
+    size = sum(map(len, lines))
+    if config.num_layers > size or parameter_count(config) > size:
+        raise CheckpointError(
+            f"{path}: header declares more parameters than the file holds")
 
     tensors: dict[str, np.ndarray] = {}
     while idx < len(lines):
@@ -137,6 +148,8 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape {tensors[name].shape}, "
                 f"expected {arr.shape}")
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
         flat.append(tensors[name].ravel())
     model = unflatten_parameters(config, np.concatenate(flat))
     if stats.minimum.shape[0] != config.features:

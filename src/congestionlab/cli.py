@@ -49,9 +49,11 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if not file_path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(file_path.read_text())
-        except json.JSONDecodeError as exc:
+            loaded = json.loads(file_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: top level must be a JSON object")
         for key, value in loaded.items():
             if isinstance(value, dict) and isinstance(config.get(key), dict):
                 config[key].update(value)
@@ -69,7 +71,14 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise ConfigError(f"override {override!r}: {part!r} is not "
+                                  "a section")
         target[parts[-1]] = value
+    for key, default in DEFAULT_CONFIG.items():
+        if not isinstance(config[key], type(default)):
+            raise ConfigError(f"config {key!r} must be a "
+                              f"{type(default).__name__}, got {config[key]!r}")
     return config
 
 
@@ -270,15 +279,28 @@ def cmd_replay(args) -> int:
     path = Path(args.log)
     if not path.exists():
         raise ConfigError(f"decision log not found: {args.log}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"score", "action", "threshold"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ConfigError(f"{args.log}: missing columns "
-                              f"{sorted(required)} in decision log")
-        rows = list(reader)
-    threshold = float(rows[0]["threshold"]) if rows else 0.5
-    mismatches = experiment.replay_decisions(rows, threshold=threshold)
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            required = {"score", "action", "threshold"}
+            if reader.fieldnames is None \
+                    or not required.issubset(reader.fieldnames):
+                raise ConfigError(f"{args.log}: missing columns "
+                                  f"{sorted(required)} in decision log")
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{args.log}: not a UTF-8 CSV file ({exc})") from None
+    raw_threshold = rows[0]["threshold"] if rows else "0.5"
+    try:
+        # the same (0,1) range the run's PolicyConfig enforced
+        threshold = PolicyConfig(threshold=float(raw_threshold)).threshold
+    except (TypeError, ValueError):
+        raise ConfigError(f"{args.log}: row 0: bad threshold "
+                          f"{raw_threshold!r}") from None
+    try:
+        mismatches = experiment.replay_decisions(rows, threshold=threshold)
+    except ValueError as exc:
+        raise ConfigError(f"{args.log}: {exc}") from None
     checked = sum(1 for r in rows if r["score"] not in ("", None))
     if mismatches:
         for idx, recorded, recomputed in mismatches:

@@ -17,7 +17,7 @@ from . import metrics as metrics_mod
 from . import nn, simulator, telemetry, training
 from .controller import (ControlAction, Controller, DecisionEntry,
                          FlsController, LstmController, PolicyConfig)
-from .simulator import LoadScenario, SimConfig
+from .simulator import SimConfig
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -28,24 +28,7 @@ def derive_seed(master_seed: int, label: str) -> int:
 
 def generate_telemetry(sim_config: SimConfig) -> list[telemetry.TelemetryRecord]:
     """Uncontrolled simulator run producing a labeled telemetry series."""
-    return simulator.run(sim_config, controller_hook=None,
-                         record_packets=False).telemetry
-
-
-def generate_dataset(base_config: SimConfig, master_seed: int,
-                     runs_per_scenario: int = 1
-                     ) -> dict[str, list[list[telemetry.TelemetryRecord]]]:
-    """One or more uncontrolled runs per load scenario, seeded independently."""
-    out: dict[str, list[list[telemetry.TelemetryRecord]]] = {}
-    for scenario in LoadScenario:
-        series_list = []
-        for run_idx in range(runs_per_scenario):
-            cfg = dataclasses.replace(
-                base_config, scenario=scenario, load_multiplier=None,
-                seed=derive_seed(master_seed, f"gen/{scenario.value}/{run_idx}"))
-            series_list.append(generate_telemetry(cfg))
-        out[scenario.value] = series_list
-    return out
+    return simulator.run(sim_config, controller_hook=None).telemetry
 
 
 @dataclass
@@ -105,8 +88,7 @@ class ExperimentRun:
 
 
 def run_experiment(sim_config: SimConfig, controller,
-                   policy: PolicyConfig | None = None,
-                   record_packets: bool = False) -> ExperimentRun:
+                   policy: PolicyConfig | None = None) -> ExperimentRun:
     """One closed-loop run: simulator + controller + decision log + report."""
     policy = policy or getattr(controller, "policy", PolicyConfig())
     decisions: list[DecisionEntry] = []
@@ -124,8 +106,7 @@ def run_experiment(sim_config: SimConfig, controller,
         ))
         return action
 
-    result = simulator.run(sim_config, controller_hook=hook,
-                           record_packets=record_packets)
+    result = simulator.run(sim_config, controller_hook=hook)
     intervals = [metrics_mod.interval_metrics(stats, sim_config)
                  for stats in result.intervals]
     report = metrics_mod.ExperimentReport(
@@ -143,7 +124,7 @@ def replay_decisions(rows: list[dict], threshold: float = 0.5
                      ) -> list[tuple[int, ControlAction, ControlAction]]:
     """Re-run decide() over a decision-log score column; returns mismatches
     as (row_index, recorded, recomputed).  Warm-up rows (empty score) are
-    skipped."""
+    skipped.  A bad score or action raises ValueError naming the row."""
     from .controller import decide
     mismatches = []
     previous = None
@@ -151,9 +132,12 @@ def replay_decisions(rows: list[dict], threshold: float = 0.5
         if row["score"] in ("", None):
             previous = None
             continue
-        score = float(row["score"])
-        recomputed = decide(score, previous, threshold)
-        recorded = ControlAction.parse(row["action"])
+        try:
+            score = float(row["score"])
+            recomputed = decide(score, previous, threshold)
+            recorded = ControlAction.parse(row["action"] or "")
+        except ValueError as exc:
+            raise ValueError(f"row {idx}: {exc}") from None
         if recorded != recomputed:
             mismatches.append((idx, recorded, recomputed))
         previous = score

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import ControlAction
-from .simulator import DelayBreakdown, IntervalStats, SimConfig
+# total_delay is defined next to DelayBreakdown and re-exported here
+from .simulator import DelayBreakdown, IntervalStats, SimConfig, total_delay
 
 
 @dataclass
@@ -34,12 +35,6 @@ class ThroughputSample:
 def throughput_eq7(sample: ThroughputSample) -> float:
     """Bits over round-trip time, reported in Kbps."""
     return sample.bits_transmitted / sample.rtt_s / 1000.0
-
-
-def total_delay(breakdown: DelayBreakdown) -> float:
-    """Exact four-component sum, in a fixed order."""
-    return (breakdown.propagation_ms + breakdown.transmission_ms
-            + breakdown.queueing_ms + breakdown.processing_ms)
 
 
 def packet_loss_rate(dropped: int, injected: int) -> float:

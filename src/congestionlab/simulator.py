@@ -17,6 +17,11 @@ controller hook, and applies whatever ControlAction comes back:
 
 Per-packet delay decomposes into propagation + transmission + queueing +
 processing components.  Runs are deterministic under (config, seed).
+
+`run` returns a SimResult carrying only aggregates: one TelemetryRecord and
+one IntervalStats per telemetry interval, plus the run's end counters
+(injected, delivered, dropped, suppressed, queued, in_flight and
+conservation_violations).  No per-packet log is kept.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ class SimConfig:
     device_count: int = 20
     link_capacity_bps: float = 100_000.0
     packet_size_bits: float = 1000.0
-    payload_distribution: str = "fixed"  # "fixed" | "exponential"
     buffer_packets: int = 50
     propagation_ms: float = 2.0
     processing_ms: float = 0.5
@@ -60,7 +64,6 @@ class SimConfig:
     load_multiplier: float | None = None  # overrides the scenario preset
     priority_fraction: float = 0.2        # share of devices that are delay-sensitive
     shaping_fraction: float = 0.8         # token-bucket rate as share of capacity
-    shaping_bucket_bits: float | None = None  # default: 2 packets worth
     seed: int = 0
 
     def __post_init__(self):
@@ -73,9 +76,6 @@ class SimConfig:
         n_intervals = self.duration_s / self.telemetry_interval_s
         if abs(n_intervals - round(n_intervals)) > 1e-9:
             raise SimulationError("telemetry interval must divide the duration")
-        if self.payload_distribution not in ("fixed", "exponential"):
-            raise SimulationError(
-                f"unknown payload distribution {self.payload_distribution!r}")
 
     @property
     def effective_load(self) -> float:
@@ -99,26 +99,10 @@ class SimConfig:
 
 @dataclass
 class Packet:
-    id: int
-    source: int
     size_bits: float
-    created_s: float
     enqueued_s: float
     priority: str = "low"            # "high" = delay-sensitive class
     service_start_s: float | None = None
-    service_end_s: float | None = None
-    disposition: str = "pending"     # pending | delivered | dropped
-
-    def csv_row(self) -> str:
-        def fmt(x):
-            return "" if x is None else f"{x:.6f}"
-        return (f"{self.id},{self.source},{self.size_bits:.0f},"
-                f"{self.created_s:.6f},{self.enqueued_s:.6f},"
-                f"{fmt(self.service_start_s)},{fmt(self.service_end_s)},"
-                f"{self.priority},{self.disposition}")
-
-
-PACKET_LOG_HEADER = "id,src,size_bits,created_s,enqueued_s,served_s,departed_s,priority,disposition"
 
 
 @dataclass
@@ -135,10 +119,17 @@ class DelayBreakdown:
                 raise ValueError("delay components must be non-negative")
 
 
+def total_delay(breakdown: DelayBreakdown) -> float:
+    """Exact four-component sum, in a fixed order."""
+    return (breakdown.propagation_ms + breakdown.transmission_ms
+            + breakdown.queueing_ms + breakdown.processing_ms)
+
+
 def compute_packet_delay(packet: Packet, config: SimConfig) -> DelayBreakdown:
-    """Four-component delay decomposition for a delivered packet."""
-    if packet.disposition != "delivered":
-        raise SimulationError("delay is only defined for delivered packets")
+    """Four-component delay decomposition for a packet that entered service."""
+    if packet.service_start_s is None:
+        raise SimulationError("delay is only defined for packets that "
+                              "entered service")
     return DelayBreakdown(
         propagation_ms=config.propagation_ms,
         transmission_ms=packet.size_bits / config.link_capacity_bps * 1000.0,
@@ -160,7 +151,7 @@ def label_congestion(mean_occupancy: float) -> CongestionLevel:
 
 def schedule_arrivals(config: SimConfig, seed: int | None = None
                       ) -> list[tuple[float, int, float]]:
-    """Pre-draw every device's Poisson arrival times and payload sizes and
+    """Pre-draw every device's Poisson arrival times (fixed payload size) and
     merge them in time order.  Each device gets its own deterministic
     substream so the merged stream is reproducible."""
     seed = config.seed if seed is None else seed
@@ -175,11 +166,7 @@ def schedule_arrivals(config: SimConfig, seed: int | None = None
             t += rng.exponential(1.0 / rate)
             if t >= config.duration_s:
                 break
-            if config.payload_distribution == "exponential":
-                size = max(1.0, rng.exponential(config.packet_size_bits))
-            else:
-                size = config.packet_size_bits
-            arrivals.append((t, device, size))
+            arrivals.append((t, device, config.packet_size_bits))
     arrivals.sort()
     return arrivals
 
@@ -248,9 +235,7 @@ def apply_action(state: SimState, action: ControlAction, now: float = 0.0
         state.discipline = "fifo"
     elif action == ControlAction.TRAFFIC_SHAPING:
         if state.shaper is None:
-            depth = (config.shaping_bucket_bits
-                     if config.shaping_bucket_bits is not None
-                     else 2.0 * config.packet_size_bits)
+            depth = 2.0 * config.packet_size_bits  # two packets' worth
             state.shaper = TokenBucket(
                 rate_bps=config.shaping_fraction * config.link_capacity_bps,
                 depth_bits=depth, tokens=depth, last_refill_s=now)
@@ -275,11 +260,9 @@ def enqueue(state: SimState, packet: Packet) -> str:
             victim = state.queue[pos]
             if victim.priority == "low":
                 del state.queue[pos]
-                victim.disposition = "dropped"
                 state.dropped += 1
                 state.queue.append(packet)
                 return "accept"
-    packet.disposition = "dropped"
     state.dropped += 1
     return "drop"
 
@@ -296,16 +279,12 @@ def _next_to_serve(state: SimState) -> Packet:
 
 @dataclass
 class SimResult:
-    config: SimConfig
     telemetry: list[TelemetryRecord]
-    packets: list[Packet]
     intervals: list[IntervalStats]
-    actions: list[tuple[float, ControlAction]]
     counters: dict
 
 
-def run(config: SimConfig, controller_hook=None,
-        record_packets: bool = True) -> SimResult:
+def run(config: SimConfig, controller_hook=None) -> SimResult:
     """Execute the event loop over the configured duration.
 
     `controller_hook(record)` is invoked after each telemetry interval and may
@@ -317,16 +296,13 @@ def run(config: SimConfig, controller_hook=None,
                                       * config.device_count))
 
     state = SimState(config=config)
-    packets: list[Packet] = []
     telemetry: list[TelemetryRecord] = []
     interval_log: list[IntervalStats] = []
-    action_log: list[tuple[float, ControlAction]] = []
 
     now = 0.0
     occ_integral = 0.0
     last_occ_time = 0.0
     arrival_idx = 0
-    packet_id = 0
     service_end = None  # time the in-service packet finishes
     current_action = ControlAction.NONE
     stats = IntervalStats(index=0)
@@ -344,19 +320,16 @@ def run(config: SimConfig, controller_hook=None,
             service_end = at_time + pkt.size_bits / config.link_capacity_bps
             state.in_service = pkt
 
-    def finish_service(at_time):
+    def finish_service():
         nonlocal service_end
         pkt = state.in_service
-        pkt.service_end_s = at_time
-        pkt.disposition = "delivered"
         state.delivered += 1
         state.in_service = None
         service_end = None
         stats.delivered += 1
         stats.delivered_bits += pkt.size_bits
         bd = compute_packet_delay(pkt, config)
-        total = (bd.propagation_ms + bd.transmission_ms
-                 + bd.queueing_ms + bd.processing_ms)
+        total = total_delay(bd)
         stats.total_delays_ms.append(total)
         if pkt.priority == "high":
             stats.high_priority_delays_ms.append(total)
@@ -385,7 +358,7 @@ def run(config: SimConfig, controller_hook=None,
             now = next_event
             advance_occupancy(now)
             if service_end is not None and service_end <= next_arrival:
-                finish_service(now)
+                finish_service()
                 start_service_if_idle(now)
             else:
                 t_arr, device, size = arrivals[arrival_idx]
@@ -394,17 +367,12 @@ def run(config: SimConfig, controller_hook=None,
                     state.suppressed += 1
                 else:
                     pkt = Packet(
-                        id=packet_id, source=device, size_bits=size,
-                        created_s=t_arr, enqueued_s=t_arr,
+                        size_bits=size, enqueued_s=t_arr,
                         priority="high" if device < high_priority_devices else "low",
                     )
-                    packet_id += 1
                     state.injected += 1
-                    stats.injected += 1
                     stats.admitted_bits += size
                     enqueue(state, pkt)
-                    if record_packets:
-                        packets.append(pkt)
                     start_service_if_idle(now)
             if not state.conservation_holds():
                 state.conservation_violations += 1
@@ -444,7 +412,6 @@ def run(config: SimConfig, controller_hook=None,
             if action != current_action:
                 apply_action(state, action, now=now)
                 current_action = action
-            action_log.append((boundary, action))
 
         stats = IntervalStats(index=interval_idx + 1)
 
@@ -458,6 +425,5 @@ def run(config: SimConfig, controller_hook=None,
         "in_flight": in_flight,
         "conservation_violations": state.conservation_violations,
     }
-    return SimResult(config=config, telemetry=telemetry, packets=packets,
-                     intervals=interval_log, actions=action_log,
+    return SimResult(telemetry=telemetry, intervals=interval_log,
                      counters=counters)

@@ -109,40 +109,42 @@ def ingest_csv(path) -> list[TelemetryRecord]:
     path = Path(path)
     if not path.exists():
         raise TelemetryError(f"telemetry file not found: {path}")
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise TelemetryError(f"{path}: not a UTF-8 CSV file ({exc})") from None
+    if not rows:
+        raise TelemetryError(f"{path}: empty file, expected header")
+    header = rows[0]
+    if [h.strip() for h in header] != CSV_HEADER.split(","):
+        raise TelemetryError(f"{path}: unexpected header {header}")
     records: list[TelemetryRecord] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    prev_ts = None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 7:
+            raise TelemetryError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TelemetryError(f"{path}: empty file, expected header")
-        if [h.strip() for h in header] != CSV_HEADER.split(","):
-            raise TelemetryError(f"{path}: unexpected header {header}")
-        prev_ts = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise TelemetryError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
-            try:
-                rec = TelemetryRecord(
-                    timestamp_s=float(row[0]),
-                    throughput_kbps=float(row[1]),
-                    delay_ms=float(row[2]),
-                    packet_loss_rate=float(row[3]),
-                    queue_occupancy=float(row[4]),
-                    active_devices=int(row[5]),
-                    label=CongestionLevel.parse(row[6]),
-                )
-            except TelemetryError as exc:
-                raise TelemetryError(f"{path}:{lineno}: {exc}") from None
-            except ValueError as exc:
-                raise TelemetryError(f"{path}:{lineno}: {exc}") from None
-            if prev_ts is not None and rec.timestamp_s <= prev_ts:
-                raise TelemetryError(
-                    f"{path}:{lineno}: timestamps not strictly increasing")
-            prev_ts = rec.timestamp_s
-            records.append(rec)
+            rec = TelemetryRecord(
+                timestamp_s=float(row[0]),
+                throughput_kbps=float(row[1]),
+                delay_ms=float(row[2]),
+                packet_loss_rate=float(row[3]),
+                queue_occupancy=float(row[4]),
+                active_devices=int(row[5]),
+                label=CongestionLevel.parse(row[6]),
+            )
+        except TelemetryError as exc:
+            raise TelemetryError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise TelemetryError(f"{path}:{lineno}: {exc}") from None
+        if prev_ts is not None and rec.timestamp_s <= prev_ts:
+            raise TelemetryError(
+                f"{path}:{lineno}: timestamps not strictly increasing")
+        prev_ts = rec.timestamp_s
+        records.append(rec)
     return records
 
 

@@ -274,7 +274,7 @@ class TestCriterion6ConservationDeterminism:
         for seed in range(10):
             cfg = SimConfig(duration_s=100.0, scenario=LoadScenario.HIGH,
                             seed=seed)
-            result = run(cfg, record_packets=False)
+            result = run(cfg)
             violations += result.counters["conservation_violations"]
             balance = (result.counters["delivered"]
                        + result.counters["dropped"]

@@ -128,3 +128,32 @@ class TestValidation:
         path.write_text(text)
         with pytest.raises(CheckpointError, match="normalization width"):
             load_checkpoint(path)
+
+    def test_non_finite_tensor_values(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, small_model(), stats5())
+        lines = path.read_text().splitlines()
+        idx = next(i for i, ln in enumerate(lines)
+                   if ln.startswith("tensor dense.b_out")) + 1
+        lines[idx] = "nan inf 0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="dense.b_out.*non-finite"):
+            load_checkpoint(path)
+
+    def test_non_finite_normalization_stats(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, small_model(), stats5())
+        text = path.read_text()
+        assert "norm_min 0 1 " in text
+        path.write_text(text.replace("norm_min 0 1 ", "norm_min nan 1 "))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_header_larger_than_file_refused(self, tmp_path):
+        # refused before a tensor of the declared size is allocated
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, small_model(), stats5())
+        path.write_text(path.read_text().replace("hidden 3\n",
+                                                 "hidden 100000\n"))
+        with pytest.raises(CheckpointError, match="more parameters"):
+            load_checkpoint(path)

@@ -213,3 +213,55 @@ class TestRunExperimentCompareReplay:
         log = tmp_path / "decisions.csv"
         log.write_text("a,b\n1,2\n")
         assert main(["replay", str(log)]) == 1
+
+
+class TestFailClosedInputs:
+    @pytest.mark.parametrize("row", [
+        "10.0,0.900000,0.500000,bogus,50.0,lstm",   # unknown action
+        "10.0,abc,0.500000,none,50.0,lstm",         # non-numeric score
+        "10.0,0.900000,xyz,none,50.0,lstm",         # non-numeric threshold
+        "10.0,0.900000,0.500000",                    # row cut before action
+    ])
+    def test_replay_bad_row_is_error(self, tmp_path, capsys, row):
+        log = tmp_path / "decisions.csv"
+        log.write_text("time_s,score,threshold,action,throughput_kbps,"
+                       "predictor\n" + row + "\n")
+        assert main(["replay", str(log)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "row 0" in out.err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{bad}", "--out-dir", "{tmp}"],
+        ["evaluate", "--checkpoint", "{bad}", "--data", "{bad}"],
+        ["replay", "{bad}"],
+        ["gen-data", "--config", "{bad}", "--out-dir", "{tmp}"],
+    ], ids=["telemetry", "checkpoint", "replay", "config"])
+    def test_undecodable_file_is_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00junk\n")
+        argv = [a.format(bad=bad, tmp=tmp_path / "out") for a in argv]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "bad.bin" in out.err
+
+    def test_config_top_level_must_be_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(str(path), [])
+        assert main(["gen-data", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("loaded, overrides", [
+        ({"sim": 5}, []),
+        ({"window": "ten"}, []),
+        ({}, ["window.size=3"]),
+    ])
+    def test_config_wrong_shape_rejected(self, tmp_path, loaded, overrides):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(loaded))
+        with pytest.raises(ConfigError):
+            load_config(str(path), overrides)

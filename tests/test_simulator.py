@@ -40,8 +40,6 @@ class TestConfig:
             SimConfig(duration_s=0.0)
         with pytest.raises(SimulationError):
             SimConfig(buffer_packets=0)
-        with pytest.raises(SimulationError):
-            SimConfig(payload_distribution="uniform")
 
 
 class TestArrivals:
@@ -90,51 +88,51 @@ class TestArrivals:
 
 
 class TestQueueOps:
-    def make_packet(self, pid, priority="low"):
-        return Packet(id=pid, source=0, size_bits=1000.0, created_s=0.0,
-                      enqueued_s=0.0, priority=priority)
+    def make_packet(self, priority="low"):
+        return Packet(size_bits=1000.0, enqueued_s=0.0, priority=priority)
 
     def test_empty_queue_accepts(self):
         state = SimState(config=SimConfig(buffer_packets=2))
-        assert enqueue(state, self.make_packet(0)) == "accept"
+        assert enqueue(state, self.make_packet()) == "accept"
         assert len(state.queue) == 1
 
     def test_full_fifo_drops_arrival(self):
         state = SimState(config=SimConfig(buffer_packets=1))
-        enqueue(state, self.make_packet(0))
-        pkt = self.make_packet(1)
+        first = self.make_packet()
+        enqueue(state, first)
+        pkt = self.make_packet()
         assert enqueue(state, pkt) == "drop"
-        assert pkt.disposition == "dropped"
+        assert len(state.queue) == 1 and state.queue[0] is first
         assert state.dropped == 1
 
     def test_priority_displacement(self):
         state = SimState(config=SimConfig(buffer_packets=2),
                          discipline="priority")
-        victim = self.make_packet(0)
+        victim = self.make_packet()
         enqueue(state, victim)
-        enqueue(state, self.make_packet(1))
-        high = self.make_packet(2, priority="high")
+        newest_low = self.make_packet()
+        enqueue(state, newest_low)
+        high = self.make_packet(priority="high")
         assert enqueue(state, high) == "accept"
-        # the newest low-priority packet was displaced
+        # the newest low-priority packet (not the oldest) was displaced
+        assert state.queue[0] is victim
+        assert all(p is not newest_low for p in state.queue)
         assert state.queue[-1] is high
         assert state.dropped == 1
-        dropped = [p for p in (victim,) if p.disposition == "dropped"]
         assert len(state.queue) == 2
 
     def test_priority_arrival_into_all_high_queue_drops(self):
         state = SimState(config=SimConfig(buffer_packets=1),
                          discipline="priority")
-        enqueue(state, self.make_packet(0, priority="high"))
-        assert enqueue(state, self.make_packet(1, priority="high")) == "drop"
+        enqueue(state, self.make_packet(priority="high"))
+        assert enqueue(state, self.make_packet(priority="high")) == "drop"
 
 
 class TestDelayAndLabels:
     def test_delay_component_sum(self):
         cfg = SimConfig(propagation_ms=2.0, processing_ms=1.0,
                         link_capacity_bps=1_000_000.0)
-        pkt = Packet(id=0, source=0, size_bits=3000.0, created_s=0.0,
-                     enqueued_s=0.0, service_start_s=0.005,
-                     service_end_s=0.008, disposition="delivered")
+        pkt = Packet(size_bits=3000.0, enqueued_s=0.0, service_start_s=0.005)
         bd = compute_packet_delay(pkt, cfg)
         assert bd.propagation_ms == 2.0
         assert bd.transmission_ms == pytest.approx(3.0)
@@ -143,22 +141,18 @@ class TestDelayAndLabels:
 
     def test_transmission_time_1000_bits_on_1mbps(self):
         cfg = SimConfig(link_capacity_bps=1_000_000.0)
-        pkt = Packet(id=0, source=0, size_bits=1000.0, created_s=0.0,
-                     enqueued_s=0.0, service_start_s=0.0, service_end_s=0.001,
-                     disposition="delivered")
+        pkt = Packet(size_bits=1000.0, enqueued_s=0.0, service_start_s=0.0)
         assert compute_packet_delay(pkt, cfg).transmission_ms \
             == pytest.approx(1.0)
 
     def test_immediate_service_zero_queueing(self):
         cfg = SimConfig()
-        pkt = Packet(id=0, source=0, size_bits=1000.0, created_s=1.0,
-                     enqueued_s=1.0, service_start_s=1.0, service_end_s=1.01,
-                     disposition="delivered")
+        pkt = Packet(size_bits=1000.0, enqueued_s=1.0, service_start_s=1.0)
         assert compute_packet_delay(pkt, cfg).queueing_ms == 0.0
 
     def test_delay_undefined_for_dropped(self):
-        pkt = Packet(id=0, source=0, size_bits=1000.0, created_s=0.0,
-                     enqueued_s=0.0, disposition="dropped")
+        # a dropped packet never enters service
+        pkt = Packet(size_bits=1000.0, enqueued_s=0.0)
         with pytest.raises(SimulationError):
             compute_packet_delay(pkt, SimConfig())
 
@@ -260,13 +254,13 @@ class TestRun:
         # system at rho=0.5 with K=200 has blocking ~rho^K, effectively 0
         cfg = SimConfig(duration_s=300.0, load_multiplier=0.5,
                         buffer_packets=200, seed=1)
-        result = run(cfg, record_packets=False)
+        result = run(cfg)
         loss = result.counters["dropped"] / result.counters["injected"]
         assert loss < 0.01
 
     def test_overload_sustained_drops(self):
         cfg = SimConfig(duration_s=300.0, scenario=LoadScenario.HIGH, seed=2)
-        result = run(cfg, record_packets=False)
+        result = run(cfg)
         loss = result.counters["dropped"] / result.counters["injected"]
         # fluid limit: loss -> 1 - 1/rho = 0.2 under sustained 1.25x load
         assert loss > 0.1
@@ -277,25 +271,23 @@ class TestRun:
 
     def test_monotone_load_response(self):
         base = SimConfig(duration_s=300.0, seed=5)
-        med = run(dataclasses.replace(base, scenario=LoadScenario.MEDIUM),
-                  record_packets=False)
-        high = run(dataclasses.replace(base, scenario=LoadScenario.HIGH),
-                   record_packets=False)
+        med = run(dataclasses.replace(base, scenario=LoadScenario.MEDIUM))
+        high = run(dataclasses.replace(base, scenario=LoadScenario.HIGH))
         assert high.counters["dropped"] >= med.counters["dropped"]
 
     def test_conservation_and_determinism(self):
         for seed in range(3):
             cfg = SimConfig(duration_s=100.0, scenario=LoadScenario.HIGH,
                             seed=seed)
-            a = run(cfg, record_packets=False)
-            b = run(cfg, record_packets=False)
+            a = run(cfg)
+            b = run(cfg)
             assert a.counters["conservation_violations"] == 0
             assert a.counters == b.counters
             assert a.telemetry == b.telemetry
 
     def test_interval_count_and_timestamps(self):
         cfg = SimConfig(duration_s=300.0, telemetry_interval_s=10.0)
-        result = run(cfg, record_packets=False)
+        result = run(cfg)
         assert len(result.telemetry) == 30
         assert [r.timestamp_s for r in result.telemetry] == \
             [10.0 * (k + 1) for k in range(30)]
@@ -308,7 +300,7 @@ class TestRun:
             hook_calls.append(record)
             return ControlAction.TRAFFIC_SHAPING
 
-        result = run(cfg, controller_hook=always_shape, record_packets=False)
+        result = run(cfg, controller_hook=always_shape)
         # once shaping is in force, admitted bits per interval stay within
         # the token-bucket envelope: rate*interval + bucket depth
         envelope = (cfg.shaping_fraction * cfg.link_capacity_bps
@@ -326,7 +318,7 @@ class TestRun:
         def always_qos(record):
             return ControlAction.QOS_ADJUSTMENT
 
-        result = run(cfg, controller_hook=always_qos, record_packets=False)
+        result = run(cfg, controller_hook=always_qos)
         qos_intervals = [iv for iv in result.intervals
                          if iv.action_in_force == ControlAction.QOS_ADJUSTMENT
                          and iv.high_priority_delays_ms
@@ -340,8 +332,7 @@ class TestRun:
         cfg = SimConfig(duration_s=30.0, scenario=LoadScenario.HIGH, seed=6)
         actions = iter([ControlAction.TRAFFIC_SHAPING, ControlAction.NONE,
                         ControlAction.NONE])
-        result = run(cfg, controller_hook=lambda rec: next(actions),
-                     record_packets=False)
+        result = run(cfg, controller_hook=lambda rec: next(actions))
         assert result.intervals[0].action_in_force == ControlAction.NONE
         assert result.intervals[1].action_in_force \
             == ControlAction.TRAFFIC_SHAPING
