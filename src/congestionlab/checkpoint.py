@@ -10,6 +10,8 @@ Layout (UTF-8, line oriented, documented in the README):
     <one line of %.17g values per row>
 
 Tensor order follows nn.parameter_items.  %.17g round-trips float64 exactly.
+A repeated or unknown header key or tensor name is refused, as is a missing
+tensor.
 Writes are atomic (temp file + rename), so a failed write never leaves a
 partial checkpoint behind.
 """
@@ -27,6 +29,8 @@ from .nn import (ModelConfig, ModelParameters, parameter_count,
 from .telemetry import NormalizationStats
 
 MAGIC = "congestionlab-checkpoint v1"
+HEADER_KEYS = ("layers", "hidden", "features", "classes", "dropout",
+               "norm_min", "norm_max")
 
 
 class CheckpointError(ValueError):
@@ -88,6 +92,9 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
     idx = 1
     while idx < len(lines) and not lines[idx].startswith("tensor "):
         key, _, value = lines[idx].partition(" ")
+        if key in header or key not in HEADER_KEYS:
+            problem = "repeated" if key in header else "unexpected"
+            raise CheckpointError(f"{path}: {problem} header key {key!r}")
         header[key] = value
         idx += 1
     try:
@@ -121,6 +128,8 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
         parts = lines[idx].split()
         if parts[0] != "tensor" or len(parts) != 4:
             raise CheckpointError(f"{path}: malformed tensor header {lines[idx]!r}")
+        if parts[1] in tensors:
+            raise CheckpointError(f"{path}: repeated tensor {parts[1]}")
         try:
             name, rows, cols = parts[1], int(parts[2]), int(parts[3])
             idx += 1
@@ -138,7 +147,8 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
                 f"{path}: truncated or malformed tensor {parts[1]} ({exc})"
             ) from None
 
-    # reassemble in canonical order; fail loudly on missing/mismatched tensors
+    # reassemble in canonical order; fail loudly on missing, mismatched or
+    # unexpected tensors
     template = unflatten_parameters(config, np.zeros(parameter_count(config)))
     flat = []
     for name, arr in parameter_items(template):
@@ -150,7 +160,9 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
                 f"expected {arr.shape}")
         if not np.isfinite(tensors[name]).all():
             raise CheckpointError(f"{path}: tensor {name} has non-finite values")
-        flat.append(tensors[name].ravel())
+        flat.append(tensors.pop(name).ravel())
+    if tensors:
+        raise CheckpointError(f"{path}: unexpected tensor {next(iter(tensors))}")
     model = unflatten_parameters(config, np.concatenate(flat))
     if stats.minimum.shape[0] != config.features:
         raise CheckpointError(f"{path}: normalization width does not match features")

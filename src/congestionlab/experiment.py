@@ -54,8 +54,8 @@ def train_pipeline(series_list: list[list[telemetry.TelemetryRecord]],
         [sample for series in series_list if len(series) > window
          for sample in telemetry.raw_windows(series, window)],
         seed=training_config.seed, chronological=chronological_split)
-    rows = np.concatenate([sample.inputs for sample in raw.train])
-    stats = telemetry.NormalizationStats(rows.min(axis=0), rows.max(axis=0))
+    stats = telemetry.fit_normalization(
+        np.concatenate([sample.inputs for sample in raw.train]))
     split = telemetry.DatasetSplit(*(
         [telemetry.SequenceSample(stats.transform(s.inputs), s.target)
          for s in part] for part in (raw.train, raw.validation, raw.test)))
@@ -124,19 +124,23 @@ def replay_decisions(rows: list[dict], threshold: float = 0.5
                      ) -> list[tuple[int, ControlAction, ControlAction]]:
     """Re-run decide() over a decision-log score column; returns mismatches
     as (row_index, recorded, recomputed).  Warm-up rows (empty score) are
-    skipped.  A bad score or action raises ValueError naming the row."""
+    skipped.  A bad score or action, or a recorded threshold other than
+    `threshold`, raises ValueError naming the row."""
     from .controller import decide
     mismatches = []
     previous = None
     for idx, row in enumerate(rows):
-        if row["score"] in ("", None):
-            previous = None
-            continue
         try:
+            if "threshold" in row and float(row["threshold"]) != threshold:
+                raise ValueError(f"threshold {row['threshold']!r} differs "
+                                 f"from the log's {threshold}")
+            if row["score"] in ("", None):
+                previous = None
+                continue
             score = float(row["score"])
             recomputed = decide(score, previous, threshold)
             recorded = ControlAction.parse(row["action"] or "")
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"row {idx}: {exc}") from None
         if recorded != recomputed:
             mismatches.append((idx, recorded, recomputed))

@@ -1,10 +1,11 @@
 """Stacked LSTM congestion classifier, implemented directly in numpy.
 
-Gate convention: each gate acts on the concatenation [h_{t-1}, x_t], so every
-weight matrix has shape (H, H + D) where D is the layer's input width.  The
-classifier reads only the final step's top-layer hidden state through a dense
-softmax head.  Dropout (inverted, train-time scaled) sits between the two
-recurrent layers.
+Gate convention: the four gates (i, f, c, o, named by GATES) are one affine
+map of the concatenation [h_{t-1}, x_t], stored gate-major: a layer's weights
+are one (4, H, H + D) stack and its biases one (4, H) stack, where D is the
+layer's input width.  The classifier reads only the final step's top-layer
+hidden state through a dense softmax head.  Dropout (inverted, train-time
+scaled) sits between the two recurrent layers.
 
 `forward_batch` is the only implementation of the recurrence.  It runs a
 (B, T, F) batch from a zero initial state and keeps a full trace (gate
@@ -62,35 +63,47 @@ class ModelConfig:
         return self.features if layer == 0 else self.hidden_units
 
 
-@dataclass
+GATES = ("i", "f", "c", "o")
+
+
+def _gate_view(stack: str, k: int) -> property:
+    """Read/write view of gate k of the `stack` attribute."""
+
+    def get(self):
+        return getattr(self, stack)[k]
+
+    def set(self, value):
+        getattr(self, stack)[k] = value
+    return property(get, set)
+
+
+@dataclass(init=False)
 class LstmLayerParameters:
-    """The four gate weight matrices (H, H+D) and bias vectors (H,)."""
+    """Gate weights w (4, H, H+D) and biases b (4, H), stacked in GATES order;
+    w_i..w_o and b_i..b_o read and write one gate of the stack."""
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
-    def __post_init__(self):
-        shapes = {self.w_i.shape, self.w_f.shape, self.w_c.shape, self.w_o.shape}
-        if len(shapes) != 1:
+    def __init__(self, w_i, w_f, w_c, w_o, b_i, b_f, b_c, b_o):
+        ws = [np.asarray(w, dtype=float) for w in (w_i, w_f, w_c, w_o)]
+        bs = [np.asarray(b, dtype=float) for b in (b_i, b_f, b_c, b_o)]
+        if len({w.shape for w in ws}) != 1 or ws[0].ndim != 2:
             raise ValueError("gate weight matrices must share one shape")
-        h = self.w_i.shape[0]
-        for b in (self.b_i, self.b_f, self.b_c, self.b_o):
-            if b.shape != (h,):
-                raise ValueError("bias length must equal hidden size")
+        if any(b.shape != ws[0].shape[:1] for b in bs):
+            raise ValueError("bias length must equal hidden size")
+        self.w, self.b = np.stack(ws), np.stack(bs)
+
+    w_i, w_f, w_c, w_o = (_gate_view("w", k) for k in range(4))
+    b_i, b_f, b_c, b_o = (_gate_view("b", k) for k in range(4))
 
     @property
     def hidden_units(self) -> int:
-        return self.w_i.shape[0]
+        return self.w.shape[1]
 
     @property
     def input_width(self) -> int:
-        return self.w_i.shape[1] - self.w_i.shape[0]
+        return self.w.shape[2] - self.w.shape[1]
 
 
 @dataclass
@@ -119,10 +132,7 @@ class ForwardTrace:
 
     inputs: np.ndarray                       # (B, T, F)
     layer_z: list[np.ndarray]                # per layer: (T, B, H+D)
-    layer_i: list[np.ndarray]
-    layer_f: list[np.ndarray]
-    layer_c_tilde: list[np.ndarray]
-    layer_o: list[np.ndarray]
+    layer_gates: list[np.ndarray]            # (T, 4, B, H): i, f, c~, o
     layer_h: list[np.ndarray]                # (T+1, B, H)
     layer_c: list[np.ndarray]                # (T+1, B, H)
     dropout_masks: list[np.ndarray] = field(default_factory=list)  # (T, B, H)
@@ -177,35 +187,28 @@ def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = Fals
     batch, steps, _ = inputs.shape
     hid = cfg.hidden_units
 
-    trace = ForwardTrace(inputs=inputs, layer_z=[], layer_i=[], layer_f=[],
-                         layer_c_tilde=[], layer_o=[], layer_h=[], layer_c=[])
+    trace = ForwardTrace(inputs=inputs, layer_z=[], layer_gates=[],
+                         layer_h=[], layer_c=[])
 
     layer_input = inputs.transpose(1, 0, 2)  # (T, B, D)
     for layer_idx, lp in enumerate(model.layers):
         din = lp.input_width
+        w_t, b = lp.w.transpose(0, 2, 1), lp.b[:, None]
         z_all = np.zeros((steps, batch, hid + din))
-        i_all = np.zeros((steps, batch, hid))
-        f_all = np.zeros((steps, batch, hid))
-        ct_all = np.zeros((steps, batch, hid))
-        o_all = np.zeros((steps, batch, hid))
+        gates_all = np.zeros((steps, 4, batch, hid))
         h_all = np.zeros((steps + 1, batch, hid))
         c_all = np.zeros((steps + 1, batch, hid))
         for t in range(steps):
             z = np.concatenate([h_all[t], layer_input[t]], axis=1)
-            i = sigmoid(z @ lp.w_i.T + lp.b_i)
-            f = sigmoid(z @ lp.w_f.T + lp.b_f)
-            c_tilde = np.tanh(z @ lp.w_c.T + lp.b_c)
+            a = z @ w_t  # (4, B, H) pre-activations
+            a += b
+            i, f, c_tilde, o = gates_all[t]
+            i[:], f[:], o[:] = sigmoid(a[0]), sigmoid(a[1]), sigmoid(a[3])
+            c_tilde[:] = np.tanh(a[2])
             c = f * c_all[t] + i * c_tilde
-            o = sigmoid(z @ lp.w_o.T + lp.b_o)
-            h = o * np.tanh(c)
-            z_all[t], i_all[t], f_all[t] = z, i, f
-            ct_all[t], o_all[t] = c_tilde, o
-            c_all[t + 1], h_all[t + 1] = c, h
+            z_all[t], c_all[t + 1], h_all[t + 1] = z, c, o * np.tanh(c)
         trace.layer_z.append(z_all)
-        trace.layer_i.append(i_all)
-        trace.layer_f.append(f_all)
-        trace.layer_c_tilde.append(ct_all)
-        trace.layer_o.append(o_all)
+        trace.layer_gates.append(gates_all)
         trace.layer_h.append(h_all)
         trace.layer_c.append(c_all)
 
@@ -254,15 +257,9 @@ def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
     for layer in range(config.num_layers):
         din = config.layer_input_width(layer)
         layers.append(LstmLayerParameters(
-            w_i=glorot(hid, hid + din),
-            w_f=glorot(hid, hid + din),
-            w_c=glorot(hid, hid + din),
-            w_o=glorot(hid, hid + din),
-            b_i=np.zeros(hid),
-            b_f=np.ones(hid),
-            b_c=np.zeros(hid),
-            b_o=np.zeros(hid),
-        ))
+            *(glorot(hid, hid + din) for _ in GATES),
+            b_i=np.zeros(hid), b_f=np.ones(hid), b_c=np.zeros(hid),
+            b_o=np.zeros(hid)))
     dense = DenseParameters(
         w_out=glorot(config.classes, hid),
         b_out=np.zeros(config.classes),
@@ -286,10 +283,8 @@ def parameter_items(model: ModelParameters) -> list[tuple[str, np.ndarray]]:
     the checkpoint format, and the finite-difference oracle."""
     items = []
     for idx, lp in enumerate(model.layers):
-        for gate in ("i", "f", "c", "o"):
-            items.append((f"layer{idx}.w_{gate}", getattr(lp, f"w_{gate}")))
-        for gate in ("i", "f", "c", "o"):
-            items.append((f"layer{idx}.b_{gate}", getattr(lp, f"b_{gate}")))
+        items += [(f"layer{idx}.w_{g}", lp.w[k]) for k, g in enumerate(GATES)]
+        items += [(f"layer{idx}.b_{g}", lp.b[k]) for k, g in enumerate(GATES)]
     items.append(("dense.w_out", model.dense.w_out))
     items.append(("dense.b_out", model.dense.b_out))
     return items
@@ -317,11 +312,8 @@ def unflatten_parameters(config: ModelConfig, theta: np.ndarray) -> ModelParamet
     layers = []
     for layer in range(config.num_layers):
         din = config.layer_input_width(layer)
-        ws = {g: take((hid, hid + din)) for g in ("i", "f", "c", "o")}
-        bs = {g: take((hid,)) for g in ("i", "f", "c", "o")}
-        layers.append(LstmLayerParameters(
-            w_i=ws["i"], w_f=ws["f"], w_c=ws["c"], w_o=ws["o"],
-            b_i=bs["i"], b_f=bs["f"], b_c=bs["c"], b_o=bs["o"]))
+        w, b = take((4, hid, hid + din)), take((4, hid))
+        layers.append(LstmLayerParameters(*w, *b))
     dense = DenseParameters(w_out=take((config.classes, hid)),
                             b_out=take((config.classes,)))
     return ModelParameters(config=config, layers=layers, dense=dense)

@@ -179,24 +179,13 @@ class NormalizationStats:
         out = np.where(span == 0.0, 0.0, out)
         return np.clip(out, 0.0, 1.0)
 
-    def inverse(self, normalized: np.ndarray) -> np.ndarray:
-        """Inverse affine map (exact only for in-range, non-constant features)."""
-        normalized = np.asarray(normalized, dtype=float)
-        return self.minimum + normalized * (self.maximum - self.minimum)
 
-
-def fit_normalization(records) -> NormalizationStats:
-    if not records:
-        raise TelemetryError("cannot fit normalization on empty record set")
-    mat = records_to_matrix(records)
-    return NormalizationStats(mat.min(axis=0), mat.max(axis=0))
-
-
-def normalize(value: float, minimum: float, maximum: float) -> float:
-    """Scalar min-max normalization with clamping; constant range maps to 0."""
-    if maximum == minimum:
-        return 0.0
-    return float(np.clip((value - minimum) / (maximum - minimum), 0.0, 1.0))
+def fit_normalization(rows) -> NormalizationStats:
+    """Per-feature min/max of an (n, F) feature-row matrix."""
+    rows = np.asarray(rows, dtype=float)
+    if len(rows) == 0:
+        raise TelemetryError("cannot fit normalization on an empty row set")
+    return NormalizationStats(rows.min(axis=0), rows.max(axis=0))
 
 
 def one_hot(level: CongestionLevel) -> np.ndarray:

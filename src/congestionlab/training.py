@@ -112,26 +112,22 @@ def backward(model: ModelParameters, trace: ForwardTrace,
         lp = model.layers[layer_idx]
         din = lp.input_width
         z_all = trace.layer_z[layer_idx]
-        i_all = trace.layer_i[layer_idx]
-        f_all = trace.layer_f[layer_idx]
-        ct_all = trace.layer_c_tilde[layer_idx]
-        o_all = trace.layer_o[layer_idx]
+        gates_all = trace.layer_gates[layer_idx]
         c_all = trace.layer_c[layer_idx]
 
         if layer_idx < len(model.layers) - 1:
             # this layer's h fed the layer above through a dropout mask
             dh_seq = dh_seq * trace.dropout_masks[layer_idx]
 
-        dw = {g: np.zeros((hid, hid + din)) for g in ("i", "f", "c", "o")}
-        db = {g: np.zeros(hid) for g in ("i", "f", "c", "o")}
+        dw, db = np.zeros_like(lp.w), np.zeros_like(lp.b)
         dx_seq = np.zeros((steps, batch, din))
 
         dh_carry = np.zeros((batch, hid))
         dc_carry = np.zeros((batch, hid))
         for t in range(steps - 1, -1, -1):
             dh = dh_seq[t] + dh_carry
-            i, f, o = i_all[t], f_all[t], o_all[t]
-            c_tilde, c, c_prev = ct_all[t], c_all[t + 1], c_all[t]
+            i, f, c_tilde, o = gates_all[t]
+            c, c_prev = c_all[t + 1], c_all[t]
             tanh_c = np.tanh(c)
 
             do = dh * tanh_c
@@ -140,25 +136,19 @@ def backward(model: ModelParameters, trace: ForwardTrace,
             df = dc * c_prev
             dct = dc * i
 
-            da = {
-                "i": di * i * (1.0 - i),
-                "f": df * f * (1.0 - f),
-                "c": dct * (1.0 - c_tilde ** 2),
-                "o": do * o * (1.0 - o),
-            }
-            z = z_all[t]
-            dz = np.zeros((batch, hid + din))
-            for g in ("i", "f", "c", "o"):
-                dw[g] += da[g].T @ z
-                db[g] += da[g].sum(axis=0)
-                dz += da[g] @ getattr(lp, f"w_{g}")
+            # (4, B, H) gradient of the gate pre-activations
+            da = np.stack([di * i * (1.0 - i), df * f * (1.0 - f),
+                           dct * (1.0 - c_tilde ** 2), do * o * (1.0 - o)])
+            dw += da.transpose(0, 2, 1) @ z_all[t]
+            db += da.sum(axis=1)
+            dz = (da @ lp.w).sum(axis=0)
             dh_carry = dz[:, :hid]
             dx_seq[t] = dz[:, hid:]
             dc_carry = dc * f
 
-        for g in ("i", "f", "c", "o"):
-            grads[f"layer{layer_idx}.w_{g}"] = dw[g]
-            grads[f"layer{layer_idx}.b_{g}"] = db[g]
+        for k, g in enumerate(nn.GATES):
+            grads[f"layer{layer_idx}.w_{g}"] = dw[k]
+            grads[f"layer{layer_idx}.b_{g}"] = db[k]
         dh_seq = dx_seq  # becomes the output gradient of the layer below
 
     return grads
@@ -177,8 +167,7 @@ def batch_loss(model: ModelParameters, inputs: np.ndarray, targets: np.ndarray,
     """Mean cross-entropy over a (B, T, F) batch."""
     probs, _ = forward_batch(model, inputs, train=train, rng=rng,
                              dropout_masks=dropout_masks)
-    p = np.maximum(probs, CE_FLOOR)
-    return float(-(np.asarray(targets) * np.log(p)).sum() / len(inputs))
+    return cross_entropy(probs, targets) / len(inputs)
 
 
 def finite_difference_gradient(model: ModelParameters, sample_inputs: np.ndarray,
@@ -300,8 +289,7 @@ def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
             idx = order[start:start + config.batch_size]
             xb, yb = train_inputs[idx], train_targets[idx]
             probs, trace = forward_batch(model, xb, train=True, rng=rng)
-            p = np.maximum(probs, CE_FLOOR)
-            loss = float(-(yb * np.log(p)).sum() / len(idx))
+            loss = cross_entropy(probs, yb) / len(idx)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}")

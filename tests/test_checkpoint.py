@@ -56,6 +56,24 @@ class TestRoundTrip:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("edit, match", [
+        (lambda lines: lines + ["tensor bogus 1 0", "0"],
+         "unexpected tensor bogus"),
+        (lambda lines: lines + ["tensor dense.b_out 3 0", "9 9 9"],
+         "repeated tensor dense.b_out"),
+        (lambda lines: lines[:3] + ["hidden 3"] + lines[3:],
+         "repeated header key 'hidden'"),
+        (lambda lines: lines[:3] + ["window 10"] + lines[3:],
+         "unexpected header key 'window'"),
+    ], ids=["unexpected-tensor", "repeated-tensor", "repeated-header-key",
+            "unexpected-header-key"])
+    def test_unexpected_or_repeated_entry(self, tmp_path, edit, match):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, small_model(), stats5())
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "missing.txt")

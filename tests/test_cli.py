@@ -231,6 +231,19 @@ class TestFailClosedInputs:
         assert out.out == ""
         assert "row 0" in out.err
 
+    def test_replay_threshold_must_match_row_0(self, tmp_path, capsys):
+        # consistent under row 0's threshold 0.5, but row 1 claims 0.9, at
+        # which decide() gives none
+        log = tmp_path / "decisions.csv"
+        log.write_text("time_s,score,threshold,action,throughput_kbps,"
+                       "predictor\n"
+                       "10.0,0.600000,0.500000,traffic_shaping,50.0,lstm\n"
+                       "20.0,0.600000,0.900000,traffic_shaping,50.0,lstm\n")
+        assert main(["replay", str(log)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "row 1: threshold '0.900000'" in out.err
+
     @pytest.mark.parametrize("argv", [
         ["train", "--data", "{bad}", "--out-dir", "{tmp}"],
         ["evaluate", "--checkpoint", "{bad}", "--data", "{bad}"],

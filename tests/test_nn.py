@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from congestionlab import nn
+from congestionlab import nn, training
 from congestionlab.nn import (DenseParameters, LstmLayerParameters,
                               ModelConfig, ModelParameters, dense_softmax,
                               flatten_parameters, forward, forward_batch,
@@ -119,15 +119,17 @@ def one_layer_trace(lp, inputs):
 
 
 class TestLstmStep:
-    """Single recurrent steps, read from the forward_batch trace: gates at
-    step t are trace.layer_*[0][t], states after it trace.layer_h/c[0][t+1]."""
+    """Single recurrent steps, read from the forward_batch trace: the i, f,
+    c~, o gates at step t are trace.layer_gates[0][t], states after it
+    trace.layer_h/c[0][t+1]."""
 
     def test_all_zero_parameters_zero_state(self):
         trace = one_layer_trace(zero_layer(3, 2), np.zeros((1, 2)))
-        np.testing.assert_array_equal(trace.layer_i[0][0], 0.5)
-        np.testing.assert_array_equal(trace.layer_f[0][0], 0.5)
-        np.testing.assert_array_equal(trace.layer_o[0][0], 0.5)
-        np.testing.assert_array_equal(trace.layer_c_tilde[0][0], 0.0)
+        i, f, c_tilde, o = trace.layer_gates[0][0]
+        np.testing.assert_array_equal(i, 0.5)
+        np.testing.assert_array_equal(f, 0.5)
+        np.testing.assert_array_equal(o, 0.5)
+        np.testing.assert_array_equal(c_tilde, 0.0)
         np.testing.assert_array_equal(trace.layer_c[0][1], 0.0)
         np.testing.assert_array_equal(trace.layer_h[0][1], 0.0)
 
@@ -158,9 +160,9 @@ class TestLstmStep:
         c_tilde = math.tanh(0.5)              # 0.46211715726000974
         c_t = gate * c_tilde                  # 0.28764913664496794
         h_t = gate * math.tanh(c_t)           # 0.17426971865610508
-        np.testing.assert_allclose(trace.layer_i[0][0], gate, atol=1e-12)
-        np.testing.assert_allclose(trace.layer_c_tilde[0][0], c_tilde,
-                                   atol=1e-12)
+        i, _, c_tilde_t, _ = trace.layer_gates[0][0]
+        np.testing.assert_allclose(i, gate, atol=1e-12)
+        np.testing.assert_allclose(c_tilde_t, c_tilde, atol=1e-12)
         np.testing.assert_allclose(c_state, c_t, atol=1e-12)
         np.testing.assert_allclose(h_state, h_t, atol=1e-12)
         # six printed digits of the frozen oracle value
@@ -169,6 +171,49 @@ class TestLstmStep:
     def test_input_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"expected \(B, T, 2\) inputs"):
             one_layer_trace(zero_layer(3, 2), np.zeros((1, 5)))
+
+
+class TestGateStack:
+    """LstmLayerParameters holds one (4, H, H+D) weight and one (4, H) bias
+    stack; the per-gate names are views into it."""
+
+    def test_gate_views_write_through(self):
+        model = init_parameters(ModelConfig(hidden_units=3, num_layers=1,
+                                            features=2, dropout_rate=0.0),
+                                seed=4)
+        lp = model.layers[0]
+        assert lp.w.shape == (4, 3, 5) and lp.b.shape == (4, 3)
+        x = np.random.default_rng(0).random((4, 2))
+        before, _ = forward(model, x)
+        v = np.array([0.3, -0.7, 1.1])
+        lp.b_c = v
+        np.testing.assert_array_equal(lp.b[2], v)
+        np.testing.assert_array_equal(lp.b_c, v)
+        after, _ = forward(model, x)
+        assert not np.array_equal(before, after)
+        # the optimizer updates the stack through parameter_items' views
+        w_before = lp.w.copy()
+        _, trace = forward_batch(model, x[None], train=True,
+                                 rng=np.random.default_rng(1))
+        grads = training.backward(model, trace, np.array([[0.0, 1.0, 0.0]]))
+        training.adam_step(model, grads, training.AdamState.zeros_like(model))
+        assert not np.array_equal(lp.w, w_before)
+        np.testing.assert_array_equal(lp.w[0], lp.w_i)
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(w_o=np.zeros((3, 4))), "share one shape"),
+        (dict(w_i=np.zeros(5), w_f=np.zeros(5), w_c=np.zeros(5),
+              w_o=np.zeros(5)), "share one shape"),
+        (dict(b_f=np.zeros(4)), "bias length"),
+        (dict(b_o=np.zeros((1, 3))), "bias length"),
+    ], ids=["one-gate-shape", "vector-weights", "bias-length", "bias-2d"])
+    def test_constructor_rejects_mismatched_shapes(self, bad, match):
+        gates = dict(w_i=np.zeros((3, 5)), w_f=np.zeros((3, 5)),
+                     w_c=np.zeros((3, 5)), w_o=np.zeros((3, 5)),
+                     b_i=np.zeros(3), b_f=np.zeros(3), b_c=np.zeros(3),
+                     b_o=np.zeros(3))
+        with pytest.raises(ValueError, match=match):
+            LstmLayerParameters(**{**gates, **bad})
 
 
 class TestForward:

@@ -6,9 +6,9 @@ import pytest
 from congestionlab import telemetry
 from congestionlab.telemetry import (CongestionLevel, NormalizationStats,
                                      TelemetryError, TelemetryRecord,
-                                     fit_normalization, ingest_csv, normalize,
-                                     one_hot, split_dataset, window_sequences,
-                                     write_csv)
+                                     fit_normalization, ingest_csv, one_hot,
+                                     records_to_matrix, split_dataset,
+                                     window_sequences, write_csv)
 
 
 def make_record(ts, occ=0.35, label=CongestionLevel.LOW, **kw):
@@ -103,16 +103,20 @@ class TestNormalization:
     def test_fit_min_max_per_feature(self):
         records = [make_record(float(t + 1), throughput_kbps=v)
                    for t, v in enumerate((52.0, 59.0, 70.0))]
-        stats = fit_normalization(records)
+        stats = fit_normalization(records_to_matrix(records))
         assert stats.minimum[0] == 52.0
         assert stats.maximum[0] == 70.0
 
     def test_single_record_degenerate_range(self):
-        stats = fit_normalization([make_record(1.0)])
+        stats = fit_normalization(records_to_matrix([make_record(1.0)]))
         np.testing.assert_array_equal(stats.minimum, stats.maximum)
         # constant features map to 0
         out = stats.transform(make_record(1.0).features())
         np.testing.assert_array_equal(out, np.zeros(5))
+
+    def test_fit_on_no_rows_rejected(self):
+        with pytest.raises(TelemetryError, match="empty"):
+            fit_normalization(np.zeros((0, 5)))
 
     def test_out_of_range_values_clamped(self):
         stats = NormalizationStats([0.0] * 5, [10.0] * 5)
@@ -120,20 +124,18 @@ class TestNormalization:
         np.testing.assert_allclose(out, [0.0, 1.0, 0.5, 0.0, 1.0])
 
     def test_scalar_normalize_bounds(self):
-        assert normalize(52.0, 52.0, 70.0) == 0.0
-        assert normalize(70.0, 52.0, 70.0) == 1.0
+        stats = NormalizationStats([52.0] * 5, [70.0] * 5)
+        out = stats.transform(np.array([52.0, 70.0, 59.0, 59.0, 59.0]))
+        assert out[0] == 0.0
+        assert out[1] == 1.0
         # 59 with min 52 max 70 -> 7/18
-        assert normalize(59.0, 52.0, 70.0) == pytest.approx(7.0 / 18.0)
-        assert normalize(59.0, 52.0, 70.0) == pytest.approx(0.3889, abs=5e-5)
+        assert out[2] == pytest.approx(7.0 / 18.0)
+        assert out[2] == pytest.approx(0.3889, abs=5e-5)
 
     def test_constant_range_maps_to_zero(self):
-        assert normalize(3.0, 3.0, 3.0) == 0.0
-
-    def test_inverse_round_trip(self):
-        stats = NormalizationStats([1.0, 2, 3, 4, 5], [2.0, 4, 6, 8, 10])
-        values = np.array([1.5, 3.0, 4.5, 6.0, 7.5])
-        np.testing.assert_allclose(stats.inverse(stats.transform(values)),
-                                   values)
+        stats = NormalizationStats([3.0] * 5, [3.0] * 5)
+        out = stats.transform(np.array([3.0, 0.0, 9.0, 3.0, -1.0]))
+        np.testing.assert_array_equal(out, np.zeros(5))
 
 
 class TestOneHot:
