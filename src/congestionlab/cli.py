@@ -2,9 +2,10 @@
 
 Subcommands: gen-data, train, evaluate, run-experiment, compare, replay.
 Configuration is a single JSON file whose sections mirror the module configs
-(sim / model / training / policy / fls) plus a master seed; any leaf can be
-overridden on the command line with --set section.key=value.  Every command
-is deterministic under the master seed.
+(sim / model / training / policy) plus four top-level scalars; any leaf can
+be overridden on the command line with --set section.key=value.  An unknown
+key, a wrong type, or a non-positive window or runs_per_scenario is a
+ConfigError.  Every command is deterministic under the master seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 acceptance-check failure
 (replay mismatch or training divergence).
@@ -75,10 +76,17 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
                 raise ConfigError(f"override {override!r}: {part!r} is not "
                                   "a section")
         target[parts[-1]] = value
-    for key, default in DEFAULT_CONFIG.items():
-        if not isinstance(config[key], type(default)):
+    for key, value in config.items():
+        if key not in DEFAULT_CONFIG:
+            raise ConfigError(f"unknown config key {key!r}")
+        expected = type(DEFAULT_CONFIG[key])
+        if not isinstance(value, expected):
             raise ConfigError(f"config {key!r} must be a "
-                              f"{type(default).__name__}, got {config[key]!r}")
+                              f"{expected.__name__}, got {value!r}")
+        if key in ("window", "runs_per_scenario") \
+                and (isinstance(value, bool) or value < 1):
+            raise ConfigError(f"config {key!r} must be a positive int, "
+                              f"got {value!r}")
     return config
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .controller import ControlAction
 # total_delay is defined next to DelayBreakdown and re-exported here
-from .simulator import DelayBreakdown, IntervalStats, SimConfig, total_delay
+from .simulator import IntervalStats, SimConfig, total_delay
 
 
 @dataclass
@@ -56,7 +56,6 @@ class IntervalMetrics:
     mean_delay_ms: float
     median_delay_ms: float
     p95_delay_ms: float
-    mean_breakdown: DelayBreakdown
     loss_rate: float
     injected: int
     dropped: int
@@ -72,8 +71,6 @@ def interval_metrics(stats: IntervalStats, config: SimConfig) -> IntervalMetrics
         p95_d = float(np.percentile(delays, 95))
     else:
         mean_d = median_d = p95_d = 0.0
-    n = max(stats.delivered, 1)
-    breakdown = DelayBreakdown(*(stats.breakdown_sums / n))
     rtt_s = 2.0 * mean_d / 1000.0
     eq7 = (throughput_eq7(ThroughputSample(stats.delivered_bits, rtt_s))
            if rtt_s > 0 and stats.delivered_bits > 0 else 0.0)
@@ -85,7 +82,6 @@ def interval_metrics(stats: IntervalStats, config: SimConfig) -> IntervalMetrics
         mean_delay_ms=mean_d,
         median_delay_ms=median_d,
         p95_delay_ms=p95_d,
-        mean_breakdown=breakdown,
         loss_rate=packet_loss_rate(stats.dropped, stats.injected),
         injected=stats.injected,
         dropped=stats.dropped,

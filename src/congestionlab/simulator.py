@@ -18,10 +18,12 @@ controller hook, and applies whatever ControlAction comes back:
 Per-packet delay decomposes into propagation + transmission + queueing +
 processing components.  Runs are deterministic under (config, seed).
 
-`run` returns a SimResult carrying only aggregates: one TelemetryRecord and
-one IntervalStats per telemetry interval, plus the run's end counters
-(injected, delivered, dropped, suppressed, queued, in_flight and
-conservation_violations).  No per-packet log is kept.
+Every packet is `SimConfig.packet_size_bits` long.  `run` returns a
+SimResult carrying only aggregates: one TelemetryRecord and one IntervalStats
+per telemetry interval (injected, delivered and dropped counts, delivered
+bits, each delivered packet's total delay, and the action in force), plus the
+run's end counters (injected, delivered, dropped, suppressed, queued,
+in_flight and conservation_violations).  No per-packet log is kept.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ class SimConfig:
 
 @dataclass
 class Packet:
-    size_bits: float
     enqueued_s: float
     priority: str = "low"            # "high" = delay-sensitive class
     service_start_s: float | None = None
@@ -132,7 +133,8 @@ def compute_packet_delay(packet: Packet, config: SimConfig) -> DelayBreakdown:
                               "entered service")
     return DelayBreakdown(
         propagation_ms=config.propagation_ms,
-        transmission_ms=packet.size_bits / config.link_capacity_bps * 1000.0,
+        transmission_ms=config.packet_size_bits / config.link_capacity_bps
+        * 1000.0,
         queueing_ms=(packet.service_start_s - packet.enqueued_s) * 1000.0,
         processing_ms=config.processing_ms,
     )
@@ -150,13 +152,13 @@ def label_congestion(mean_occupancy: float) -> CongestionLevel:
 
 
 def schedule_arrivals(config: SimConfig, seed: int | None = None
-                      ) -> list[tuple[float, int, float]]:
-    """Pre-draw every device's Poisson arrival times (fixed payload size) and
-    merge them in time order.  Each device gets its own deterministic
-    substream so the merged stream is reproducible."""
+                      ) -> list[tuple[float, int]]:
+    """Pre-draw every device's Poisson arrival times and merge them into
+    (time, device) pairs in time order.  Each device gets its own
+    deterministic substream so the merged stream is reproducible."""
     seed = config.seed if seed is None else seed
     rate = config.per_device_rate_pps
-    arrivals: list[tuple[float, int, float]] = []
+    arrivals: list[tuple[float, int]] = []
     if rate <= 0:
         return arrivals
     for device in range(config.device_count):
@@ -166,7 +168,7 @@ def schedule_arrivals(config: SimConfig, seed: int | None = None
             t += rng.exponential(1.0 / rate)
             if t >= config.duration_s:
                 break
-            arrivals.append((t, device, config.packet_size_bits))
+            arrivals.append((t, device))
     arrivals.sort()
     return arrivals
 
@@ -195,16 +197,9 @@ class IntervalStats:
     injected: int = 0
     delivered: int = 0
     dropped: int = 0
-    suppressed: int = 0
     delivered_bits: float = 0.0
     total_delays_ms: list[float] = field(default_factory=list)
-    high_priority_delays_ms: list[float] = field(default_factory=list)
-    low_priority_delays_ms: list[float] = field(default_factory=list)
-    breakdown_sums: np.ndarray = field(
-        default_factory=lambda: np.zeros(4))  # prop, trans, queue, proc
-    mean_occupancy: float = 0.0
     action_in_force: ControlAction = ControlAction.NONE
-    admitted_bits: float = 0.0
 
 
 @dataclass
@@ -220,14 +215,8 @@ class SimState:
     suppressed: int = 0
     conservation_violations: int = 0
 
-    def conservation_holds(self) -> bool:
-        in_flight = 1 if self.in_service is not None else 0
-        return self.injected == (self.delivered + self.dropped
-                                 + len(self.queue) + in_flight)
 
-
-def apply_action(state: SimState, action: ControlAction, now: float = 0.0
-                 ) -> SimState:
+def apply_action(state: SimState, action: ControlAction, now: float = 0.0):
     """Reconfigure the gateway; actions persist until changed."""
     config = state.config
     if action == ControlAction.NONE:
@@ -245,7 +234,6 @@ def apply_action(state: SimState, action: ControlAction, now: float = 0.0
         state.discipline = "priority"
     else:
         raise SimulationError(f"unknown action {action}")
-    return state
 
 
 def enqueue(state: SimState, packet: Packet) -> str:
@@ -294,114 +282,83 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
     arrivals = schedule_arrivals(config)
     high_priority_devices = int(round(config.priority_fraction
                                       * config.device_count))
+    size = config.packet_size_bits
+    inf = float("inf")
 
     state = SimState(config=config)
     telemetry: list[TelemetryRecord] = []
     interval_log: list[IntervalStats] = []
 
-    now = 0.0
-    occ_integral = 0.0
     last_occ_time = 0.0
     arrival_idx = 0
-    service_end = None  # time the in-service packet finishes
+    service_end = inf  # time the in-service packet finishes
     current_action = ControlAction.NONE
-    stats = IntervalStats(index=0)
-
-    def advance_occupancy(to_time):
-        nonlocal occ_integral, last_occ_time
-        occ_integral += len(state.queue) * (to_time - last_occ_time)
-        last_occ_time = to_time
-
-    def start_service_if_idle(at_time):
-        nonlocal service_end
-        if state.in_service is None and state.queue:
-            pkt = _next_to_serve(state)
-            pkt.service_start_s = at_time
-            service_end = at_time + pkt.size_bits / config.link_capacity_bps
-            state.in_service = pkt
-
-    def finish_service():
-        nonlocal service_end
-        pkt = state.in_service
-        state.delivered += 1
-        state.in_service = None
-        service_end = None
-        stats.delivered += 1
-        stats.delivered_bits += pkt.size_bits
-        bd = compute_packet_delay(pkt, config)
-        total = total_delay(bd)
-        stats.total_delays_ms.append(total)
-        if pkt.priority == "high":
-            stats.high_priority_delays_ms.append(total)
-        else:
-            stats.low_priority_delays_ms.append(total)
-        stats.breakdown_sums += (bd.propagation_ms, bd.transmission_ms,
-                                 bd.queueing_ms, bd.processing_ms)
 
     for interval_idx in range(config.intervals):
         boundary = (interval_idx + 1) * config.telemetry_interval_s
-        stats.index = interval_idx
-        stats.action_in_force = current_action
-        interval_injected0 = state.injected
-        interval_dropped0 = state.dropped
-        interval_suppressed0 = state.suppressed
+        injected0, delivered0, dropped0 = (state.injected, state.delivered,
+                                           state.dropped)
+        delivered_bits = 0.0
+        delays_ms: list[float] = []
         occ_integral = 0.0
-        last_occ_time = now
 
         while True:
             next_arrival = arrivals[arrival_idx][0] \
-                if arrival_idx < len(arrivals) else float("inf")
-            next_event = min(next_arrival,
-                             service_end if service_end is not None else float("inf"))
-            if next_event >= boundary:
+                if arrival_idx < len(arrivals) else inf
+            now = min(next_arrival, service_end, boundary)
+            occ_integral += len(state.queue) * (now - last_occ_time)
+            last_occ_time = now
+            if now >= boundary:
                 break
-            now = next_event
-            advance_occupancy(now)
-            if service_end is not None and service_end <= next_arrival:
-                finish_service()
-                start_service_if_idle(now)
+            if service_end <= next_arrival:
+                pkt = state.in_service
+                state.in_service = None
+                service_end = inf
+                state.delivered += 1
+                delivered_bits += size
+                delays_ms.append(total_delay(compute_packet_delay(pkt, config)))
             else:
-                t_arr, device, size = arrivals[arrival_idx]
+                t_arr, device = arrivals[arrival_idx]
                 arrival_idx += 1
                 if state.shaper is not None and not state.shaper.admit(now, size):
                     state.suppressed += 1
                 else:
-                    pkt = Packet(
-                        size_bits=size, enqueued_s=t_arr,
-                        priority="high" if device < high_priority_devices else "low",
-                    )
                     state.injected += 1
-                    stats.admitted_bits += size
-                    enqueue(state, pkt)
-                    start_service_if_idle(now)
-            if not state.conservation_holds():
+                    enqueue(state, Packet(
+                        enqueued_s=t_arr,
+                        priority="high" if device < high_priority_devices else "low",
+                    ))
+            if state.in_service is None and state.queue:
+                pkt = _next_to_serve(state)
+                pkt.service_start_s = now
+                service_end = now + size / config.link_capacity_bps
+                state.in_service = pkt
+            in_system = len(state.queue) + (state.in_service is not None)
+            if state.injected != state.delivered + state.dropped + in_system:
                 state.conservation_violations += 1
 
-        now = boundary
-        advance_occupancy(now)
-
-        injected = state.injected - interval_injected0
-        dropped = state.dropped - interval_dropped0
-        stats.dropped = dropped
-        stats.injected = injected
-        stats.suppressed = state.suppressed - interval_suppressed0
+        stats = IntervalStats(
+            index=interval_idx,
+            injected=state.injected - injected0,
+            delivered=state.delivered - delivered0,
+            dropped=state.dropped - dropped0,
+            delivered_bits=delivered_bits,
+            total_delays_ms=delays_ms,
+            action_in_force=current_action,
+        )
         occ_mean = occ_integral / config.telemetry_interval_s / config.buffer_packets
         occ_mean = min(1.0, max(0.0, occ_mean))
-        stats.mean_occupancy = occ_mean
-
-        empty = stats.delivered == 0
-        delay_ms = (float(np.mean(stats.total_delays_ms))
-                    if stats.total_delays_ms else 0.0)
         record = TelemetryRecord(
             timestamp_s=boundary,
-            throughput_kbps=stats.delivered_bits / config.telemetry_interval_s
+            throughput_kbps=delivered_bits / config.telemetry_interval_s
             / 1000.0,
-            delay_ms=delay_ms,
-            packet_loss_rate=(dropped / injected) if injected else 0.0,
+            delay_ms=float(np.mean(delays_ms)) if delays_ms else 0.0,
+            packet_loss_rate=(stats.dropped / stats.injected)
+            if stats.injected else 0.0,
             queue_occupancy=occ_mean,
             active_devices=config.device_count,
             label=label_congestion(occ_mean),
-            empty_interval=empty,
+            empty_interval=stats.delivered == 0,
         )
         telemetry.append(record)
         interval_log.append(stats)
@@ -410,10 +367,8 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
             decided = controller_hook(record)
             action = decided if decided is not None else ControlAction.NONE
             if action != current_action:
-                apply_action(state, action, now=now)
+                apply_action(state, action, now=boundary)
                 current_action = action
-
-        stats = IntervalStats(index=interval_idx + 1)
 
     in_flight = 1 if state.in_service is not None else 0
     counters = {

@@ -272,9 +272,27 @@ class TestFailClosedInputs:
         ({"sim": 5}, []),
         ({"window": "ten"}, []),
         ({}, ["window.size=3"]),
+        ({"trainig": {"max_epochs": 1}}, []),
+        ({}, ["trainig.max_epochs=1"]),
+        ({}, ["window=-2"]),
+        ({}, ["window=0"]),
+        ({"window": True}, []),
+        ({"window": 2.5}, []),
+        ({}, ["runs_per_scenario=-1"]),
+        ({"runs_per_scenario": 0}, []),
+        ({"runs_per_scenario": True}, []),
     ])
     def test_config_wrong_shape_rejected(self, tmp_path, loaded, overrides):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(loaded))
         with pytest.raises(ConfigError):
             load_config(str(path), overrides)
+
+    def test_bad_config_value_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-data", "--out-dir", str(out),
+                     "--set", "runs_per_scenario=-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "runs_per_scenario" in captured.err
+        assert not out.exists()

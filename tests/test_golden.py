@@ -1,8 +1,8 @@
 """Pinned SHA-256 digests of seeded outputs.
 
 Each digest covers bytes the lab writes or trains on for a fixed seed: the
-`telemetry.csv` and `decisions.csv` of short closed-loop runs for every
-predictor, and the split samples and normalization stats that
+`telemetry.csv`, `decisions.csv`, `intervals.csv` and `report.txt` of short
+closed-loop runs for every predictor, and the split samples and normalization stats that
 `experiment.train_pipeline` builds from a small corpus.  A refactor must
 leave every digest as it is; a change that means to alter these bytes
 updates the digest and says why.
@@ -13,6 +13,7 @@ with fixed stats, so their decisions do not depend on training.
 """
 
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -37,6 +38,23 @@ LOOP_RUNS = {
         "e987c68b00206db0e4a891f7f5ae2473af1ab41b23465906ecac5bc7b75de9c7"),
 }
 
+# (intervals.csv, report.txt) of the same runs: the simulator's per-interval
+# stats as metrics.interval_metrics and aggregate summarize them
+REPORT_DIGESTS = {
+    ("low", "none", 1): (
+        "99083c0b2741cd6dfeb02b62f14e45baa2f604c887553571b4cd01d9878bc621",
+        "cdc8d0390b4063965f917e2e1e9a2a1bbfab00a0bf84bab54020d9e297dda2aa"),
+    ("high", "fls", 2): (
+        "f71d28515b1c48e809bc59ac8bf28780e5041c8235d633d0c2421a378ff7fdc5",
+        "636c39576fb990401a2e5b958399acb4eb11b9eaf3986825ce8f36293181503c"),
+    ("high", "lstm", 3): (
+        "a1ac53a19323211e10ce012436ce9d9ae11d30231d5bcf6d6c6ede64054558be",
+        "17c71f1c170500a420717d05baed850dca5e791dc97d81c7edcea6bf77df9294"),
+    ("medium", "lstm", 4): (
+        "525b5c401694b863bad5e5b70c362b105ac14184690565c834a9f7183798a6d0",
+        "561daf2461ac7014804c036293303990f5cbccdfde0b2f453db7d5e4bb6d5a98"),
+}
+
 # keyed by chronological_split
 SPLIT_DIGESTS = {
     False: "581d0e8dc8a81f38b3d89318c32b22cb6c2b280d96d26c92591cc4ad0b7e546d",
@@ -55,10 +73,15 @@ def golden_controller(predictor):
     return experiment.make_controller(predictor, model=model, stats=stats)
 
 
-def loop_digests(scenario, predictor, seed, tmp_path):
+@functools.cache
+def closed_loop_run(scenario, predictor, seed):
     config = SimConfig(scenario=LoadScenario(scenario), duration_s=60.0,
                        telemetry_interval_s=1.0, seed=seed)
-    run = experiment.run_experiment(config, golden_controller(predictor))
+    return experiment.run_experiment(config, golden_controller(predictor))
+
+
+def loop_digests(scenario, predictor, seed, tmp_path):
+    run = closed_loop_run(scenario, predictor, seed)
     telemetry.write_csv(tmp_path / "telemetry.csv", run.sim_result.telemetry)
     write_decision_log(tmp_path / "decisions.csv", run.decisions)
     return (sha256((tmp_path / "telemetry.csv").read_bytes()),
@@ -90,6 +113,13 @@ def corpus():
 @pytest.mark.parametrize("key", sorted(LOOP_RUNS))
 def test_closed_loop_outputs_match_golden(key, tmp_path):
     assert loop_digests(*key, tmp_path) == LOOP_RUNS[key]
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_DIGESTS))
+def test_closed_loop_report_matches_golden(key):
+    report = closed_loop_run(*key).report
+    assert (sha256(report.intervals_csv().encode("utf-8")),
+            sha256(report.to_text().encode("utf-8"))) == REPORT_DIGESTS[key]
 
 
 @pytest.mark.parametrize("chronological", [False, True])

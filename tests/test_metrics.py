@@ -73,9 +73,6 @@ def make_interval(index=0, injected=10, dropped=1, delays=(10.0, 20.0),
                           delivered=len(delays), dropped=dropped,
                           delivered_bits=bits,
                           total_delays_ms=list(delays))
-    stats.breakdown_sums = np.array([2.0 * len(delays), 1.0 * len(delays),
-                                     sum(delays) - 3.5 * len(delays),
-                                     0.5 * len(delays)])
     return metrics.interval_metrics(stats, SimConfig())
 
 

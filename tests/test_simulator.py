@@ -1,6 +1,7 @@
 """Discrete-event simulator: arrivals, queueing, delays, labels, actions."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ class TestArrivals:
 
     def test_sorted_in_time(self):
         cfg = SimConfig(duration_s=50.0, telemetry_interval_s=10.0, seed=3)
-        times = [t for t, _, _ in schedule_arrivals(cfg)]
+        times = [t for t, _ in schedule_arrivals(cfg)]
         assert times == sorted(times)
 
     def test_poisson_count_concentration(self):
@@ -89,7 +90,7 @@ class TestArrivals:
 
 class TestQueueOps:
     def make_packet(self, priority="low"):
-        return Packet(size_bits=1000.0, enqueued_s=0.0, priority=priority)
+        return Packet(enqueued_s=0.0, priority=priority)
 
     def test_empty_queue_accepts(self):
         state = SimState(config=SimConfig(buffer_packets=2))
@@ -131,8 +132,8 @@ class TestQueueOps:
 class TestDelayAndLabels:
     def test_delay_component_sum(self):
         cfg = SimConfig(propagation_ms=2.0, processing_ms=1.0,
-                        link_capacity_bps=1_000_000.0)
-        pkt = Packet(size_bits=3000.0, enqueued_s=0.0, service_start_s=0.005)
+                        link_capacity_bps=1_000_000.0, packet_size_bits=3000.0)
+        pkt = Packet(enqueued_s=0.0, service_start_s=0.005)
         bd = compute_packet_delay(pkt, cfg)
         assert bd.propagation_ms == 2.0
         assert bd.transmission_ms == pytest.approx(3.0)
@@ -141,18 +142,18 @@ class TestDelayAndLabels:
 
     def test_transmission_time_1000_bits_on_1mbps(self):
         cfg = SimConfig(link_capacity_bps=1_000_000.0)
-        pkt = Packet(size_bits=1000.0, enqueued_s=0.0, service_start_s=0.0)
+        pkt = Packet(enqueued_s=0.0, service_start_s=0.0)
         assert compute_packet_delay(pkt, cfg).transmission_ms \
             == pytest.approx(1.0)
 
     def test_immediate_service_zero_queueing(self):
         cfg = SimConfig()
-        pkt = Packet(size_bits=1000.0, enqueued_s=1.0, service_start_s=1.0)
+        pkt = Packet(enqueued_s=1.0, service_start_s=1.0)
         assert compute_packet_delay(pkt, cfg).queueing_ms == 0.0
 
     def test_delay_undefined_for_dropped(self):
         # a dropped packet never enters service
-        pkt = Packet(size_bits=1000.0, enqueued_s=0.0)
+        pkt = Packet(enqueued_s=0.0)
         with pytest.raises(SimulationError):
             compute_packet_delay(pkt, SimConfig())
 
@@ -223,7 +224,7 @@ def scripted_five_packet_loss():
                     link_capacity_bps=1000.0, packet_size_bits=1000.0,
                     buffer_packets=2, telemetry_interval_s=10.0,
                     load_multiplier=0.01, seed=123)
-    arrivals = [(0.01 * (k + 1), k, 1000.0) for k in range(5)]
+    arrivals = [(0.01 * (k + 1), k) for k in range(5)]
     return cfg, arrivals
 
 
@@ -264,9 +265,12 @@ class TestRun:
         loss = result.counters["dropped"] / result.counters["injected"]
         # fluid limit: loss -> 1 - 1/rho = 0.2 under sustained 1.25x load
         assert loss > 0.1
-        mean_queueing = np.mean([
-            iv.breakdown_sums[2] / max(iv.delivered, 1)
-            for iv in result.intervals])
+        # queueing = total delay minus the three fixed components
+        fixed_ms = (cfg.propagation_ms + cfg.processing_ms
+                    + cfg.packet_size_bits / cfg.link_capacity_bps * 1000.0)
+        mean_queueing = np.mean([rec.delay_ms - fixed_ms
+                                 for rec in result.telemetry
+                                 if not rec.empty_interval])
         assert mean_queueing > 10.0 * cfg.propagation_ms
 
     def test_monotone_load_response(self):
@@ -309,24 +313,37 @@ class TestRun:
                   if iv.action_in_force == ControlAction.TRAFFIC_SHAPING]
         assert shaped
         for iv in shaped:
-            assert iv.admitted_bits <= envelope + 1e-6
+            assert iv.injected * cfg.packet_size_bits <= envelope + 1e-6
         assert result.counters["suppressed"] > 0
 
-    def test_qos_prioritizes_high_class_delay(self):
+    def test_qos_prioritizes_high_class_delay(self, monkeypatch):
         cfg = SimConfig(duration_s=100.0, scenario=LoadScenario.HIGH, seed=4)
+        # per-class total delays of each interval, keyed by the action in
+        # force; a new interval starts after every hook call
+        intervals = [(ControlAction.NONE, {"high": [], "low": []})]
+        delay_of = simulator.compute_packet_delay
+
+        def recording_delay(packet, config):
+            breakdown = delay_of(packet, config)
+            intervals[-1][1][packet.priority].append(
+                simulator.total_delay(breakdown))
+            return breakdown
 
         def always_qos(record):
+            intervals.append((ControlAction.QOS_ADJUSTMENT,
+                              {"high": [], "low": []}))
             return ControlAction.QOS_ADJUSTMENT
 
+        monkeypatch.setattr(simulator, "compute_packet_delay", recording_delay)
         result = run(cfg, controller_hook=always_qos)
-        qos_intervals = [iv for iv in result.intervals
-                         if iv.action_in_force == ControlAction.QOS_ADJUSTMENT
-                         and iv.high_priority_delays_ms
-                         and iv.low_priority_delays_ms]
+        assert [action for action, _ in intervals[:-1]] \
+            == [iv.action_in_force for iv in result.intervals]
+        qos_intervals = [delays for action, delays in intervals
+                         if action == ControlAction.QOS_ADJUSTMENT
+                         and delays["high"] and delays["low"]]
         assert qos_intervals
-        for iv in qos_intervals:
-            assert np.mean(iv.high_priority_delays_ms) \
-                <= np.mean(iv.low_priority_delays_ms)
+        for delays in qos_intervals:
+            assert np.mean(delays["high"]) <= np.mean(delays["low"])
 
     def test_hook_action_applied_next_interval(self):
         cfg = SimConfig(duration_s=30.0, scenario=LoadScenario.HIGH, seed=6)
@@ -337,3 +354,22 @@ class TestRun:
         assert result.intervals[1].action_in_force \
             == ControlAction.TRAFFIC_SHAPING
         assert result.intervals[2].action_in_force == ControlAction.NONE
+
+    def test_interval_counts_sum_to_run_counters(self):
+        cfg = SimConfig(duration_s=90.0, scenario=LoadScenario.HIGH, seed=7)
+        # intervals run under NONE, TRAFFIC_SHAPING, QOS_ADJUSTMENT, NONE, ...
+        cycle = [ControlAction.TRAFFIC_SHAPING, ControlAction.QOS_ADJUSTMENT,
+                 ControlAction.NONE]
+        actions = itertools.cycle(cycle)
+        result = run(cfg, controller_hook=lambda record: next(actions))
+        assert [iv.action_in_force for iv in result.intervals[:4]] \
+            == [ControlAction.NONE] + cycle
+        counters = result.counters
+        for key in ("injected", "delivered", "dropped"):
+            assert sum(getattr(iv, key) for iv in result.intervals) \
+                == counters[key]
+        assert counters["suppressed"] > 0
+        assert counters["injected"] == (counters["delivered"]
+                                        + counters["dropped"]
+                                        + counters["queued"]
+                                        + counters["in_flight"])
