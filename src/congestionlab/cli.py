@@ -1,11 +1,13 @@
 """Operator command suite.
 
 Subcommands: gen-data, train, evaluate, run-experiment, compare, replay.
-Configuration is a single JSON file whose sections mirror the module configs
-(sim / model / training / policy) plus four top-level scalars; any leaf can
-be overridden on the command line with --set section.key=value.  An unknown
-key, a wrong type, or a non-positive window or runs_per_scenario is a
-ConfigError.  Every command is deterministic under the master seed.
+Configuration is a single JSON file read into one RunConfig: four top-level
+scalars plus the sections sim / model / training / policy, one per module
+config; any leaf can be overridden with --set section.key=value.  Every field
+is type- and range-checked, and the keys the commands derive (sim.scenario,
+sim.seed, training.seed, model.features, model.classes) are refused; any
+ConfigError surfaces before a command writes output.  Every command is
+deterministic under the master seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 acceptance-check failure
 (replay mismatch or training divergence).
@@ -21,45 +23,54 @@ import sys
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from . import experiment, metrics, nn, telemetry, training
+from . import experiment, metrics, telemetry, training
 from .controller import PolicyConfig, write_decision_log
+from .nn import ModelConfig
 from .simulator import LoadScenario, SimConfig, SimulationError
-from .telemetry import TelemetryError
+from .telemetry import CongestionLevel, TelemetryError, check_fields
+from .training import TrainingConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
-DEFAULT_CONFIG = {
-    "master_seed": 42,
-    "sim": {},          # SimConfig field overrides
-    "model": {},        # ModelConfig field overrides
-    "training": {},     # TrainingConfig field overrides
-    "policy": {},       # PolicyConfig field overrides
-    "window": 10,
-    "runs_per_scenario": 1,
-    "chronological_split": False,
-}
+@dataclasses.dataclass
+class RunConfig:
+    """The whole run configuration; training.seed derives from master_seed."""
+    master_seed: int = 42
+    window: int = 10
+    runs_per_scenario: int = 1
+    chronological_split: bool = False
+    sim: SimConfig = dataclasses.field(default_factory=SimConfig)
+    model: ModelConfig = dataclasses.field(default_factory=ModelConfig)
+    training: TrainingConfig = dataclasses.field(default_factory=TrainingConfig)
+    policy: PolicyConfig = dataclasses.field(default_factory=PolicyConfig)
+
+    def __post_init__(self):
+        check_fields(self, ConfigError, positive=("window", "runs_per_scenario"))
+        self.training = dataclasses.replace(self.training, seed=(
+            experiment.derive_seed(self.master_seed, "train")))
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict:
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+# section -> (its class, its keys derived per run, from master_seed or by schema)
+SECTIONS = {"sim": (SimConfig, {"scenario", "seed"}),
+            "model": (ModelConfig, {"features", "classes"}),
+            "training": (TrainingConfig, {"seed"}), "policy": (PolicyConfig, set())}
+
+
+def load_config(path: str | None, overrides: list[str]) -> RunConfig:
+    config = {}
     if path is not None:
         file_path = Path(path)
         if not file_path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(file_path.read_text(encoding="utf-8"))
+            config = json.loads(file_path.read_text(encoding="utf-8"))
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(loaded, dict):
+        if not isinstance(config, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        for key, value in loaded.items():
-            if isinstance(value, dict) and isinstance(config.get(key), dict):
-                config[key].update(value)
-            else:
-                config[key] = value
     for override in overrides:
         if "=" not in override:
             raise ConfigError(f"override {override!r} must be key=value")
@@ -76,69 +87,41 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
                 raise ConfigError(f"override {override!r}: {part!r} is not "
                                   "a section")
         target[parts[-1]] = value
-    for key, value in config.items():
-        if key not in DEFAULT_CONFIG:
-            raise ConfigError(f"unknown config key {key!r}")
-        expected = type(DEFAULT_CONFIG[key])
-        if not isinstance(value, expected):
-            raise ConfigError(f"config {key!r} must be a "
-                              f"{expected.__name__}, got {value!r}")
-        if key in ("window", "runs_per_scenario") \
-                and (isinstance(value, bool) or value < 1):
-            raise ConfigError(f"config {key!r} must be a positive int, "
-                              f"got {value!r}")
-    return config
-
-
-def build_sim_config(config: dict, scenario: LoadScenario, seed: int) -> SimConfig:
-    fields = dict(config.get("sim", {}))
-    fields.pop("scenario", None)
-    fields.pop("seed", None)
     try:
-        return SimConfig(scenario=scenario, seed=seed, **fields)
-    except (TypeError, SimulationError) as exc:
-        raise ConfigError(f"bad sim config: {exc}") from None
-
-
-def build_model_config(config: dict) -> nn.ModelConfig:
-    try:
-        return nn.ModelConfig(**config.get("model", {}))
+        for name, (section, derived) in SECTIONS.items():
+            fields = config.get(name, {})
+            if not isinstance(fields, dict):
+                raise ConfigError(f"{name!r} must be an object, got {fields!r}")
+            if fields.keys() & derived:
+                raise ConfigError(f"{name} keys {fields.keys() & derived} are derived")
+            config[name] = section(**{k: tuple(v) if isinstance(v, list)
+                                      else v for k, v in fields.items()})
+        return RunConfig(**config)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from None
+        raise ConfigError(f"bad config: {exc}") from None
 
 
-def build_training_config(config: dict) -> training.TrainingConfig:
-    fields = dict(config.get("training", {}))
-    fields.setdefault("seed", experiment.derive_seed(
-        config["master_seed"], "train"))
-    try:
-        return training.TrainingConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad training config: {exc}") from None
-
-
-def build_policy_config(config: dict) -> PolicyConfig:
-    fields = dict(config.get("policy", {}))
-    if "score_weights" in fields:
-        fields["score_weights"] = tuple(fields["score_weights"])
-    try:
-        return PolicyConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad policy config: {exc}") from None
+def load_model(path: str):
+    """A checkpoint whose (features, classes) are the telemetry schema's."""
+    model, stats = ckpt.load_checkpoint(path)
+    widths = (model.config.features, model.config.classes)
+    if widths != (telemetry.FEATURE_COUNT, len(CongestionLevel)):
+        raise ConfigError(f"{path}: checkpoint (features, classes) {widths} "
+                          "does not fit the telemetry schema")
+    return model, stats
 
 
 def cmd_gen_data(args) -> int:
     config = load_config(args.config, args.set)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    master = config["master_seed"]
     written = []
     for scenario in LoadScenario:
-        for run_idx in range(config["runs_per_scenario"]):
+        for run_idx in range(config.runs_per_scenario):
             seed = experiment.derive_seed(
-                master, f"gen/{scenario.value}/{run_idx}")
-            sim_config = build_sim_config(config, scenario, seed)
-            records = experiment.generate_telemetry(sim_config)
+                config.master_seed, f"gen/{scenario.value}/{run_idx}")
+            records = experiment.generate_telemetry(dataclasses.replace(
+                config.sim, scenario=scenario, seed=seed))
             name = f"telemetry_{scenario.value}_{run_idx}.csv"
             telemetry.write_csv(out_dir / name, records)
             written.append(name)
@@ -168,10 +151,10 @@ def cmd_train(args) -> int:
     series_list = [telemetry.ingest_csv(p) for p in _collect_csv_paths(args.data)]
     trained = experiment.train_pipeline(
         series_list,
-        model_config=build_model_config(config),
-        training_config=build_training_config(config),
-        window=config["window"],
-        chronological_split=config["chronological_split"],
+        model_config=config.model,
+        training_config=config.training,
+        window=config.window,
+        chronological_split=config.chronological_split,
     )
     ckpt.save_checkpoint(out_dir / "checkpoint.txt", trained.model, trained.stats)
     (out_dir / "training_report.txt").write_text(trained.report.to_text())
@@ -184,13 +167,12 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config, args.set)
-    model, stats = ckpt.load_checkpoint(args.checkpoint)
+    model, stats = load_model(args.checkpoint)
     series_list = [telemetry.ingest_csv(p) for p in _collect_csv_paths(args.data)]
-    window = config["window"]
     samples = []
     for series in series_list:
-        if len(series) >= window + 1:
-            samples.extend(telemetry.window_sequences(series, stats, window))
+        if len(series) >= config.window + 1:
+            samples.extend(telemetry.window_sequences(series, stats, config.window))
     if not samples:
         raise ConfigError("no usable windows in the provided data")
     result = training.evaluate(model, samples)
@@ -200,31 +182,25 @@ def cmd_evaluate(args) -> int:
 
 def cmd_run_experiment(args) -> int:
     config = load_config(args.config, args.set)
-    master = config["master_seed"]
-    policy = build_policy_config(config)
-    window = config["window"]
     out_dir = Path(args.out_dir)
 
     model = stats = None
     if args.predictor == "lstm":
         if args.checkpoint is None:
             raise ConfigError("predictor lstm requires --checkpoint")
-        model, stats = ckpt.load_checkpoint(args.checkpoint)
-        if model.config.features != telemetry.FEATURE_COUNT:
-            raise ConfigError(
-                f"checkpoint has {model.config.features} features; the "
-                f"simulator emits {telemetry.FEATURE_COUNT}")
+        model, stats = load_model(args.checkpoint)
 
     scenarios = ([LoadScenario(args.scenario)] if args.scenario
                  else list(LoadScenario))
     for scenario in scenarios:
         # seed depends on scenario only, not predictor: paired comparisons
-        seed = experiment.derive_seed(master, f"experiment/{scenario.value}")
-        sim_config = build_sim_config(config, scenario, seed)
+        seed = experiment.derive_seed(config.master_seed,
+                                      f"experiment/{scenario.value}")
+        sim_config = dataclasses.replace(config.sim, scenario=scenario, seed=seed)
         controller = experiment.make_controller(
-            args.predictor, model=model, stats=stats, policy=policy,
-            window=window)
-        run = experiment.run_experiment(sim_config, controller, policy=policy)
+            args.predictor, model=model, stats=stats, policy=config.policy,
+            window=config.window)
+        run = experiment.run_experiment(sim_config, controller, policy=config.policy)
 
         run_dir = out_dir / f"{scenario.value}_{args.predictor}"
         run_dir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,8 @@ from enum import Enum
 import numpy as np
 
 from . import fls, nn
-from .telemetry import NormalizationStats, TelemetryRecord, records_to_matrix
+from .telemetry import (NormalizationStats, TelemetryRecord, check_fields,
+                        records_to_matrix)
 
 
 class ControlAction(Enum):
@@ -47,6 +48,7 @@ class PolicyConfig:
     score_decimals: int | None = 2
 
     def __post_init__(self):
+        check_fields(self, ValueError, non_negative=("score_decimals",))
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0,1)")
         w = self.score_weights

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .telemetry import CongestionLevel
+from .telemetry import CongestionLevel, check_fields
 
 
 def sigmoid(x):
@@ -53,11 +53,10 @@ class ModelConfig:
     dropout_rate: float = 0.2
 
     def __post_init__(self):
-        if self.hidden_units < 1 or self.num_layers < 1 or self.features < 1 \
-                or self.classes < 2:
-            raise ValueError("model dimensions must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout rate must be in [0,1)")
+        check_fields(self, ValueError, non_negative=("dropout_rate",),
+                     positive=("hidden_units", "num_layers", "features"))
+        if self.classes < 2 or self.dropout_rate >= 1.0:
+            raise ValueError("need classes >= 2 and dropout rate below 1")
 
     def layer_input_width(self, layer: int) -> int:
         return self.features if layer == 0 else self.hidden_units

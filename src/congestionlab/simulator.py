@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .controller import ControlAction
-from .telemetry import CongestionLevel, TelemetryRecord
+from .telemetry import CongestionLevel, TelemetryRecord, check_fields
 
 
 class SimulationError(ValueError):
@@ -69,15 +69,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.link_capacity_bps <= 0 \
-                or self.buffer_packets <= 0 or self.device_count < 0 \
-                or self.packet_size_bits <= 0:
-            raise SimulationError("durations, capacities and sizes must be positive")
-        if self.telemetry_interval_s <= 0:
-            raise SimulationError("telemetry interval must be positive")
-        n_intervals = self.duration_s / self.telemetry_interval_s
-        if abs(n_intervals - round(n_intervals)) > 1e-9:
-            raise SimulationError("telemetry interval must divide the duration")
+        check_fields(self, SimulationError, positive=(
+            "duration_s", "link_capacity_bps", "packet_size_bits",
+            "buffer_packets", "telemetry_interval_s"), non_negative=(
+            "device_count", "propagation_ms", "processing_ms",
+            "load_multiplier", "seed"),
+            fraction=("priority_fraction", "shaping_fraction"))
+        n = self.duration_s / self.telemetry_interval_s
+        if not np.isfinite(n) or abs(n - round(n)) > 1e-9:
+            raise SimulationError("telemetry_interval_s must divide duration_s")
 
     @property
     def effective_load(self) -> float:

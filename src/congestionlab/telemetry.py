@@ -10,7 +10,10 @@ immediately follows it.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import sys
+import typing
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -25,6 +28,7 @@ FEATURE_NAMES = (
     "active_devices",
 )
 FEATURE_COUNT = len(FEATURE_NAMES)
+_field_types = functools.cache(typing.get_type_hints)  # for check_fields
 
 CSV_HEADER = (
     "timestamp_s,throughput_kbps,delay_ms,packet_loss_rate,"
@@ -34,6 +38,36 @@ CSV_HEADER = (
 
 class TelemetryError(ValueError):
     """Malformed telemetry input (bad row, bad label, bad ordering)."""
+
+
+def _has_type(value, hint) -> bool:
+    """No bool is an int; a float may be an int, but must be finite."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return value is None or _has_type(value, args[0])
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, tuple) and len(value) == len(args) \
+            and all(map(_has_type, value, args))
+    if isinstance(value, bool) != (hint is bool):
+        return False
+    if hint is float:  # an int too large for a float is not finite either
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
+
+
+def check_fields(obj, error, positive=(), non_negative=(), fraction=()):
+    """Each config dataclass checks itself with this: raise `error` unless every
+    field has its annotated type and each named one, unless None, is in range."""
+    for name, hint in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        rule = (getattr(hint, "__name__", hint) if not _has_type(value, hint)
+                else None if value is None
+                else "> 0" if name in positive and not value > 0
+                else ">= 0" if name in non_negative and not value >= 0
+                else "in [0, 1]" if name in fraction and not 0 <= value <= 1
+                else None)
+        if rule is not None:
+            raise error(f"{type(obj).__name__}.{name} must be {rule}, got {value!r}")
 
 
 class CongestionLevel(IntEnum):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .telemetry import DatasetSplit, SequenceSample
+from .telemetry import DatasetSplit, SequenceSample, check_fields
 from .nn import (ForwardTrace, ModelParameters, forward_batch,
                  parameter_items, predict_class)
 
@@ -37,9 +37,8 @@ class TrainingConfig:
     clip_norm: float | None = 5.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_epochs < 1 \
-                or self.batch_size < 1 or self.patience < 1:
-            raise ValueError("invalid training configuration")
+        check_fields(self, ValueError, non_negative=("seed",), positive=(
+            "learning_rate", "max_epochs", "batch_size", "patience", "clip_norm"))
 
 
 @dataclass

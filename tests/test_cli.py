@@ -4,32 +4,53 @@ import json
 
 import pytest
 
+from congestionlab.checkpoint import save_checkpoint
 from congestionlab.cli import load_config, main, ConfigError
+from congestionlab.nn import ModelConfig, init_parameters
+from congestionlab.telemetry import (CongestionLevel, NormalizationStats,
+                                     TelemetryRecord, write_csv)
 
 FAST_SIM = ["--set", "sim.duration_s=40", "--set",
             "sim.telemetry_interval_s=1.0"]
 FAST_TRAIN = ["--set", "training.max_epochs=2", "--set",
               "model.hidden_units=8"]
 
+# each of these once gave a raw traceback, ran to exit 0 on a nonsense value,
+# or was dropped without a word
+BAD_OVERRIDES = [
+    "sim.device_count=2.5", "sim.propagation_ms=-5", "policy.score_weights=5",
+    "policy.score_weights=[0,1]", "policy.score_decimals=1.5",
+    "model.hidden_units=2.5", "training.batch_size=2.5",
+    "sim.buffer_packets=2.5", "sim.load_multiplier=-1",
+    "sim.shaping_fraction=-1", "sim.priority_fraction=3",
+    "sim.duration_s=true", "sim.telemetry_interval_s=Infinity",
+    "master_seed=true", "training.clip_norm=-1", "training.learning_rate=NaN",
+    # the interval count overflows a float
+    "sim.telemetry_interval_s=5e-324", "sim.duration_s=1" + "0" * 400,
+    # derived by the commands, so not settings
+    "sim.scenario=low", "sim.seed=5", "training.seed=3", "model.features=3",
+    "model.classes=4",
+]
+
 
 class TestConfig:
     def test_defaults(self):
         config = load_config(None, [])
-        assert config["master_seed"] == 42
-        assert config["window"] == 10
+        assert config.master_seed == 42
+        assert config.window == 10
 
     def test_file_overrides(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"master_seed": 7,
                                     "sim": {"duration_s": 60.0}}))
         config = load_config(str(path), [])
-        assert config["master_seed"] == 7
-        assert config["sim"]["duration_s"] == 60.0
+        assert config.master_seed == 7
+        assert config.sim.duration_s == 60.0
 
     def test_set_overrides_nest(self):
         config = load_config(None, ["sim.duration_s=60", "master_seed=9"])
-        assert config["sim"]["duration_s"] == 60
-        assert config["master_seed"] == 9
+        assert config.sim.duration_s == 60
+        assert config.master_seed == 9
 
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
@@ -281,12 +302,25 @@ class TestFailClosedInputs:
         ({}, ["runs_per_scenario=-1"]),
         ({"runs_per_scenario": 0}, []),
         ({"runs_per_scenario": True}, []),
-    ])
+    ] + [({}, [override]) for override in BAD_OVERRIDES])
     def test_config_wrong_shape_rejected(self, tmp_path, loaded, overrides):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(loaded))
         with pytest.raises(ConfigError):
             load_config(str(path), overrides)
+
+    @pytest.mark.parametrize("override", BAD_OVERRIDES,
+                             ids=lambda override: override[:40])
+    def test_bad_override_exits_1_before_output(self, tmp_path, capsys,
+                                                override):
+        out = tmp_path / "out"
+        assert main(["gen-data", "--out-dir", str(out),
+                     "--set", override]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = override.partition("=")[0].rpartition(".")[2]
+        assert key in captured.err
+        assert not out.exists()
 
     def test_bad_config_value_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -295,4 +329,29 @@ class TestFailClosedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "runs_per_scenario" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("features, classes, command", [
+        (3, 3, "evaluate"), (5, 4, "evaluate"), (5, 4, "run-experiment")])
+    def test_checkpoint_off_telemetry_schema_is_error(
+            self, tmp_path, capsys, features, classes, command):
+        checkpoint = tmp_path / "checkpoint.txt"
+        model = init_parameters(ModelConfig(
+            hidden_units=2, num_layers=1, features=features, classes=classes),
+            seed=0)
+        save_checkpoint(checkpoint, model, NormalizationStats(
+            [0.0] * features, [1.0] * features))
+        data = tmp_path / "telemetry_high_0.csv"
+        write_csv(data, [TelemetryRecord(float(k + 1), 80.0, 20.0, 0.1, 0.5,
+                                         20, CongestionLevel(k % 3))
+                         for k in range(15)])
+        out = tmp_path / "out"
+        argv = {"evaluate": ["evaluate", "--data", str(data)],
+                "run-experiment": ["run-experiment", "--predictor", "lstm",
+                                   "--scenario", "high", "--out-dir", str(out),
+                                   "--set", "sim.duration_s=20"]}[command]
+        assert main(argv + ["--checkpoint", str(checkpoint)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"({features}, {classes})" in captured.err
         assert not out.exists()

@@ -1,6 +1,7 @@
 """Fuzzed input boundaries: every reader loads its input or raises its
 typed error (telemetry CSV, checkpoint, JSON config, decision log)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from congestionlab.checkpoint import (CheckpointError, load_checkpoint,
                                       save_checkpoint)
-from congestionlab.cli import DEFAULT_CONFIG, ConfigError, load_config, main
+from congestionlab.cli import (SECTIONS, ConfigError, RunConfig, load_config,
+                               main)
 from congestionlab.controller import (ControlAction, DecisionEntry,
                                       write_decision_log)
 from congestionlab.nn import ModelConfig, init_parameters
@@ -47,13 +49,38 @@ def csv_rows(valid: bytes):
         lambda rows: "\n".join([header] + rows).encode() + b"\n")
 
 
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+json_leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=6))
 json_docs = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(max_size=6),
+    json_leaves,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
-        st.sampled_from(sorted(DEFAULT_CONFIG)) | st.text(max_size=6),
+        st.sampled_from(field_names(RunConfig)) | st.text(max_size=6),
         inner, max_size=3),
     max_leaves=8).map(lambda doc: json.dumps(doc).encode())
+
+
+# values at the edges of the field checks, which arbitrary leaves rarely hit
+edge_leaves = st.sampled_from([float("nan"), float("inf"), 1e308, 5e-324,
+                               10 ** 400, -1, 0, 1, 2.5, True])
+
+
+def section(cls):
+    """Some of `cls`'s real field names, each with an arbitrary JSON leaf, an
+    edge value or a short list of them."""
+    leaves = json_leaves | edge_leaves
+    return st.dictionaries(st.sampled_from(field_names(cls)),
+                           leaves | st.lists(leaves, max_size=4), max_size=4)
+
+
+# well-formed documents that reach every section's own field checks
+run_configs = st.fixed_dictionaries({}, optional={
+    name: section(SECTIONS[name][0]) if name in SECTIONS else json_leaves
+    for name in field_names(RunConfig)}).map(
+        lambda doc: json.dumps(doc).encode())
 
 
 def valid_file(tmp_path_factory, name, write) -> bytes:
@@ -126,7 +153,7 @@ def test_load_config(tmp_path):
     path = tmp_path / "config.json"
 
     @FUZZ
-    @given(inputs(CONFIG_JSON, json_docs))
+    @given(inputs(CONFIG_JSON, json_docs, run_configs))
     def check(data):
         path.write_bytes(data)
         try:
