@@ -49,6 +49,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self, ConfigError, positive=("window", "runs_per_scenario"))
+        for scenario in LoadScenario:  # the commands set it, before any output
+            dataclasses.replace(self.sim, scenario=scenario)
         self.training = dataclasses.replace(self.training, seed=(
             experiment.derive_seed(self.master_seed, "train")))
 
@@ -200,7 +202,7 @@ def cmd_run_experiment(args) -> int:
         controller = experiment.make_controller(
             args.predictor, model=model, stats=stats, policy=config.policy,
             window=config.window)
-        run = experiment.run_experiment(sim_config, controller, policy=config.policy)
+        run = experiment.run_experiment(sim_config, controller)
 
         run_dir = out_dir / f"{scenario.value}_{args.predictor}"
         run_dir.mkdir(parents=True, exist_ok=True)

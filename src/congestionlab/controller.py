@@ -3,18 +3,19 @@
 Every predictor runs the same control step: push the new telemetry record
 into a rolling window, issue no action until the window is full, then score
 the window on [0,1], quantize the score and apply the threshold policy.  A
-score below the 0.5 threshold means no action; at or above the threshold, a
-non-decreasing score triggers traffic shaping and a declining one a QoS
+score below the threshold (0.5 by default) means no action; at or above it,
+a non-decreasing score triggers traffic shaping and a declining one a QoS
 adjustment.  Predictors differ only in their window length and scorer: the
 LSTM collapses its class probabilities into an expected congestion level
-(weights 0 / 0.5 / 1 by default), the fuzzy baseline defuzzifies its rule
-base, and the uncontrolled baseline has no scorer and never acts.
+(weights 0 / 0.5 / 1 by default), the fuzzy baseline defuzzifies its fixed
+rule base, and the uncontrolled baseline has no scorer and never acts.  The
+controller's `policy` holds the one threshold it decides by and logs.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -84,22 +85,6 @@ def decide(score: float, previous_score: float | None = None,
     return ControlAction.QOS_ADJUSTMENT
 
 
-@dataclass
-class ControllerState:
-    window_length: int
-    previous_score: float | None = None
-    window: deque = field(default_factory=deque)
-
-    def push(self, record: TelemetryRecord) -> None:
-        self.window.append(record)
-        while len(self.window) > self.window_length:
-            self.window.popleft()
-
-    @property
-    def warmed_up(self) -> bool:
-        return len(self.window) >= self.window_length
-
-
 class Controller:
     """The one closed-loop control step.  Subclasses supply `score_window`;
     without it this is the uncontrolled baseline, which never acts."""
@@ -110,17 +95,18 @@ class Controller:
     def __init__(self, window_length: int = 1,
                  policy: PolicyConfig | None = None):
         self.policy = policy or PolicyConfig()
-        self.state = ControllerState(window_length=window_length)
+        self.window: deque[TelemetryRecord] = deque(maxlen=window_length)
+        self.previous_score: float | None = None
         self.last_score: float | None = None
 
     def control_step(self, record: TelemetryRecord) -> ControlAction:
-        self.state.push(record)
-        if self.score_window is None or not self.state.warmed_up:
+        self.window.append(record)
+        if self.score_window is None or len(self.window) < self.window.maxlen:
             self.last_score = None
             return ControlAction.NONE
-        score = self.policy.quantize(self.score_window(self.state.window))
-        action = decide(score, self.state.previous_score, self.policy.threshold)
-        self.state.previous_score = score
+        score = self.policy.quantize(self.score_window(self.window))
+        action = decide(score, self.previous_score, self.policy.threshold)
+        self.previous_score = score
         self.last_score = score
         return action
 
@@ -150,16 +136,15 @@ class FlsController(Controller):
 
     predictor_id = "fls"
 
-    def __init__(self, fls_config=None, policy: PolicyConfig | None = None):
-        self.config = fls_config or fls.FlsConfig()
-        super().__init__(max(self.config.rsi_window + 1,
-                             self.config.trend_window), policy)
+    def __init__(self, policy: PolicyConfig | None = None):
+        super().__init__(max(fls.RSI_WINDOW + 1, fls.TREND_WINDOW), policy)
 
     def score_window(self, window) -> float:
         occupancy = [r.queue_occupancy for r in window]
-        return fls.fls_score(fls.rsi(occupancy, self.config.rsi_window),
-                             fls.trend(occupancy, self.config.trend_window),
-                             occupancy[-1], self.config)
+        # looked up through the module at call time, so wrappers see the calls
+        return fls.fls_score(fls.rsi(occupancy, fls.RSI_WINDOW),
+                             fls.trend(occupancy, fls.TREND_WINDOW),
+                             occupancy[-1])
 
 
 DECISION_LOG_HEADER = "time_s,score,threshold,action,throughput_kbps,predictor"

@@ -67,14 +67,13 @@ def train_pipeline(series_list: list[list[telemetry.TelemetryRecord]],
 
 
 def make_controller(predictor: str, model=None, stats=None,
-                    policy: PolicyConfig | None = None, fls_config=None,
-                    window: int = 10):
+                    policy: PolicyConfig | None = None, window: int = 10):
     if predictor == "lstm":
         if model is None or stats is None:
             raise ValueError("lstm predictor needs a model and stats")
         return LstmController(model, stats, policy=policy, window_length=window)
     if predictor == "fls":
-        return FlsController(fls_config=fls_config, policy=policy)
+        return FlsController(policy=policy)
     if predictor == "none":
         return Controller(policy=policy)
     raise ValueError(f"unknown predictor {predictor!r}")
@@ -87,19 +86,17 @@ class ExperimentRun:
     sim_result: simulator.SimResult
 
 
-def run_experiment(sim_config: SimConfig, controller,
-                   policy: PolicyConfig | None = None) -> ExperimentRun:
+def run_experiment(sim_config: SimConfig,
+                   controller: Controller) -> ExperimentRun:
     """One closed-loop run: simulator + controller + decision log + report."""
-    policy = policy or getattr(controller, "policy", PolicyConfig())
     decisions: list[DecisionEntry] = []
 
     def hook(record):
         action = controller.control_step(record)
-        score = getattr(controller, "last_score", None)
         decisions.append(DecisionEntry(
             time_s=record.timestamp_s,
-            score=score,
-            threshold=policy.threshold,
+            score=controller.last_score,
+            threshold=controller.policy.threshold,
             action=action,
             throughput_kbps=record.throughput_kbps,
             predictor=controller.predictor_id,

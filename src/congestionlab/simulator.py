@@ -42,6 +42,10 @@ class SimulationError(ValueError):
     pass
 
 
+# a run holds one record per interval and draws every arrival up front
+MAX_COUNT = 10**7
+
+
 class LoadScenario(Enum):
     LOW = "low"
     MEDIUM = "medium"
@@ -78,6 +82,13 @@ class SimConfig:
         n = self.duration_s / self.telemetry_interval_s
         if not np.isfinite(n) or abs(n - round(n)) > 1e-9:
             raise SimulationError("telemetry_interval_s must divide duration_s")
+        for count, what in ((n, "duration_s / telemetry_interval_s"),
+                            (self.device_count, "device_count"),
+                            (self.per_device_rate_pps * self.device_count
+                             * self.duration_s, "expected arrivals (load x "
+                             "link_capacity_bps / packet_size_bits x duration_s)")):
+            if count > MAX_COUNT:
+                raise SimulationError(f"{what} is {count:.4g}, above {MAX_COUNT}")
 
     @property
     def effective_load(self) -> float:
@@ -151,18 +162,16 @@ def label_congestion(mean_occupancy: float) -> CongestionLevel:
     return CongestionLevel.HIGH
 
 
-def schedule_arrivals(config: SimConfig, seed: int | None = None
-                      ) -> list[tuple[float, int]]:
+def schedule_arrivals(config: SimConfig) -> list[tuple[float, int]]:
     """Pre-draw every device's Poisson arrival times and merge them into
     (time, device) pairs in time order.  Each device gets its own
-    deterministic substream so the merged stream is reproducible."""
-    seed = config.seed if seed is None else seed
+    substream of `config.seed` so the merged stream is reproducible."""
     rate = config.per_device_rate_pps
     arrivals: list[tuple[float, int]] = []
     if rate <= 0:
         return arrivals
     for device in range(config.device_count):
-        rng = np.random.default_rng([seed, device])
+        rng = np.random.default_rng([config.seed, device])
         t = 0.0
         while True:
             t += rng.exponential(1.0 / rate)

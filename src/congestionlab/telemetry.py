@@ -267,21 +267,19 @@ class DatasetSplit:
         return len(self.train) + len(self.validation) + len(self.test)
 
 
-def split_dataset(samples, fractions=(0.8, 0.1, 0.1), seed: int = 0,
+def split_dataset(samples, seed: int = 0,
                   chronological: bool = False) -> DatasetSplit:
     """Seeded shuffle (or chronological order) then contiguous partition
-    into floor(f0*n) / floor(f1*n) / remainder."""
+    into floor(0.8*n) / floor(0.1*n) / remainder."""
     n = len(samples)
     if n < 10:
         raise TelemetryError(f"need at least 10 samples to split, got {n}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
     order = np.arange(n)
     if not chronological:
         rng = np.random.default_rng(seed)
         rng.shuffle(order)
-    n_train = int(np.floor(fractions[0] * n))
-    n_val = int(np.floor(fractions[1] * n))
+    n_train = int(np.floor(0.8 * n))
+    n_val = int(np.floor(0.1 * n))
     idx_train = order[:n_train]
     idx_val = order[n_train:n_train + n_val]
     idx_test = order[n_train + n_val:]

@@ -27,6 +27,9 @@ BAD_OVERRIDES = [
     "master_seed=true", "training.clip_norm=-1", "training.learning_rate=NaN",
     # the interval count overflows a float
     "sim.telemetry_interval_s=5e-324", "sim.duration_s=1" + "0" * 400,
+    # finite, but past the interval, device or expected-arrival limit
+    "sim.telemetry_interval_s=9.313225746154785e-10",  # 2**-30
+    "sim.device_count=1000000000", "sim.link_capacity_bps=1e300",
     # derived by the commands, so not settings
     "sim.scenario=low", "sim.seed=5", "training.seed=3", "model.features=3",
     "model.classes=4",
@@ -221,6 +224,20 @@ class TestRunExperimentCompareReplay:
         fls_dir = self.run_predictor(pipeline, "fls")
         code = main(["replay", str(fls_dir / "decisions.csv")])
         assert code == 0
+        assert "all consistent" in capsys.readouterr().out
+
+    def test_logged_threshold_is_the_one_decided_by(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert main(["run-experiment", "--predictor", "fls", "--scenario",
+                     "high", "--out-dir", str(out), *FAST_SIM,
+                     "--set", "policy.threshold=0.7"]) == 0
+        log = out / "high_fls" / "decisions.csv"
+        rows = [line.split(",") for line in log.read_text().splitlines()[1:]]
+        assert rows and all(row[2] == "0.700000" for row in rows)
+        # scores in [0.5, 0.7) would act under the default threshold, so
+        # replay at 0.7 tells the two thresholds apart
+        assert any(row[1] and 0.5 <= float(row[1]) < 0.7 for row in rows)
+        assert main(["replay", str(log)]) == 0
         assert "all consistent" in capsys.readouterr().out
 
     def test_replay_mismatch_exits_2(self, pipeline, tmp_path):

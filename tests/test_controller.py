@@ -127,16 +127,16 @@ class TestFlsController:
     def test_warm_up_then_scores(self):
         ctrl = FlsController()
         actions = [ctrl.control_step(make_record(float(k + 1), occ=0.05))
-                   for k in range(ctrl.state.window_length + 2)]
+                   for k in range(ctrl.window.maxlen + 2)]
         assert all(a == ControlAction.NONE
-                   for a in actions[:ctrl.state.window_length - 1])
+                   for a in actions[:ctrl.window.maxlen - 1])
         assert ctrl.last_score is not None
         assert ctrl.last_score < 0.5
 
     def test_congested_window_triggers_action(self):
         ctrl = FlsController()
         action = ControlAction.NONE
-        for k in range(ctrl.state.window_length):
+        for k in range(ctrl.window.maxlen):
             occ = min(0.95, 0.3 + 0.07 * k)
             action = ctrl.control_step(make_record(float(k + 1), occ=occ))
         assert action != ControlAction.NONE

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from congestionlab.fls import (FlsConfig, SymmetricOutputPartition,
-                               TriangularPartition, default_rule_table,
-                               fls_score, rsi, trend)
+from congestionlab.fls import (GRID, OCCUPANCY_PEAKS, OUTPUT_CENTRES,
+                               OUTPUT_TERMS, RSI_PEAKS, RULE_TABLE, fls_score,
+                               membership, rsi, trend)
 
 
 class TestRsi:
@@ -50,50 +50,42 @@ class TestTrend:
 
 class TestPartitions:
     def test_peak_membership(self):
-        part = TriangularPartition((0.0, 0.5, 1.0))
-        np.testing.assert_allclose(part.membership(0.0), [1, 0, 0])
-        np.testing.assert_allclose(part.membership(0.5), [0, 1, 0])
-        np.testing.assert_allclose(part.membership(1.0), [0, 0, 1])
+        np.testing.assert_allclose(membership(0.0, OCCUPANCY_PEAKS), [1, 0, 0])
+        np.testing.assert_allclose(membership(0.5, OCCUPANCY_PEAKS), [0, 1, 0])
+        np.testing.assert_allclose(membership(1.0, OCCUPANCY_PEAKS), [0, 0, 1])
 
     def test_midpoint_half_half(self):
-        part = TriangularPartition((0.0, 0.5, 1.0))
-        np.testing.assert_allclose(part.membership(0.25), [0.5, 0.5, 0.0])
-        np.testing.assert_allclose(part.membership(0.75), [0.0, 0.5, 0.5])
+        np.testing.assert_allclose(membership(0.25, OCCUPANCY_PEAKS),
+                                   [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(membership(0.75, OCCUPANCY_PEAKS),
+                                   [0.0, 0.5, 0.5])
 
     def test_out_of_universe_clamped(self):
-        part = TriangularPartition((0.0, 0.5, 1.0))
-        np.testing.assert_allclose(part.membership(-3.0), [1, 0, 0])
-        np.testing.assert_allclose(part.membership(7.0), [0, 0, 1])
+        np.testing.assert_allclose(membership(-3.0, OCCUPANCY_PEAKS), [1, 0, 0])
+        np.testing.assert_allclose(membership(7.0, OCCUPANCY_PEAKS), [0, 0, 1])
 
     def test_adjacent_degrees_sum_to_one(self):
-        part = TriangularPartition((0.0, 50.0, 100.0))
         for value in np.linspace(0.0, 100.0, 21):
-            assert part.membership(value).sum() == pytest.approx(1.0)
-
-    def test_non_increasing_peaks_rejected(self):
-        with pytest.raises(ValueError):
-            TriangularPartition((0.5, 0.5, 1.0))
-
-    def test_output_partition_validation(self):
-        with pytest.raises(ValueError):
-            SymmetricOutputPartition(centers=(0.05, 0.5, 0.95), halfwidth=0.2)
+            assert membership(value, RSI_PEAKS).sum() == pytest.approx(1.0)
 
     def test_output_membership_triangles(self):
-        part = SymmetricOutputPartition()
-        xs = np.array([1.0 / 6.0, 0.5, 5.0 / 6.0])
-        for term in range(3):
-            member = part.membership(xs, term)
-            assert member[term] == pytest.approx(1.0)
+        # 1/6 and 5/6 fall between grid points, so each flank is fitted with
+        # a line and the two lines must meet at height 1 over the centre
+        for term, centre in zip(OUTPUT_TERMS, OUTPUT_CENTRES):
+            assert term.max() <= 1.0
+            for flank in (GRID < centre, GRID > centre):
+                inside = flank & (term > 0.0)
+                line = np.polyfit(GRID[inside], term[inside], 1)
+                assert np.polyval(line, centre) == pytest.approx(1.0)
 
 
 class TestRuleTable:
     def test_covers_all_combinations(self):
-        table = default_rule_table()
-        assert len(table) == 27
-        assert set(table.values()) <= {0, 1, 2}
+        assert len(RULE_TABLE) == 27
+        assert set(RULE_TABLE.values()) <= {0, 1, 2}
 
     def test_monotone_in_each_input(self):
-        table = default_rule_table()
+        table = RULE_TABLE
         for r in range(3):
             for t in range(3):
                 for o in range(3):
@@ -105,15 +97,8 @@ class TestRuleTable:
                         assert table[(r, t, o)] <= table[(r, t, o + 1)]
 
     def test_extremes(self):
-        table = default_rule_table()
-        assert table[(0, 0, 0)] == 0
-        assert table[(2, 2, 2)] == 2
-
-    def test_incomplete_table_rejected(self):
-        table = default_rule_table()
-        del table[(1, 1, 1)]
-        with pytest.raises(ValueError, match="27"):
-            FlsConfig(rule_table=table)
+        assert RULE_TABLE[(0, 0, 0)] == 0
+        assert RULE_TABLE[(2, 2, 2)] == 2
 
 
 class TestFlsScore:

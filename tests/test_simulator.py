@@ -68,7 +68,7 @@ class TestArrivals:
                     * cfg.duration_s)
         band = 4.0 * np.sqrt(expected)
         for seed in range(trials):
-            count = len(schedule_arrivals(cfg, seed=seed))
+            count = len(schedule_arrivals(dataclasses.replace(cfg, seed=seed)))
             if abs(count - expected) <= band:
                 hits += 1
         assert hits / trials >= 0.99
@@ -79,10 +79,12 @@ class TestArrivals:
                          link_capacity_bps=100_000.0)
         two = dataclasses.replace(base, device_count=2, load_multiplier=0.1)
         one = dataclasses.replace(base, device_count=1, load_multiplier=0.1)
-        counts_two = np.mean([len(schedule_arrivals(two, seed=s))
-                              for s in range(40)])
-        counts_one = np.mean([len(schedule_arrivals(one, seed=s + 1000))
-                              for s in range(40)])
+        counts_two = np.mean([
+            len(schedule_arrivals(dataclasses.replace(two, seed=s)))
+            for s in range(40)])
+        counts_one = np.mean([
+            len(schedule_arrivals(dataclasses.replace(one, seed=s + 1000)))
+            for s in range(40)])
         expected = 0.1 * 100.0 * 200.0
         assert counts_two == pytest.approx(expected, rel=0.05)
         assert counts_one == pytest.approx(expected, rel=0.05)
