@@ -26,11 +26,11 @@ from .telemetry import CongestionLevel, check_fields
 def sigmoid(x):
     """Numerically stable logistic function, elementwise."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # e is exp(-x) where x >= 0 and exp(x) elsewhere, so this is
+    # 1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)) per element, unmasked;
+    # minimum (not -abs) passes a NaN through with its sign
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out
@@ -191,21 +191,31 @@ def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = Fals
 
     layer_input = inputs.transpose(1, 0, 2)  # (T, B, D)
     for layer_idx, lp in enumerate(model.layers):
-        din = lp.input_width
         w_t, b = lp.w.transpose(0, 2, 1), lp.b[:, None]
-        z_all = np.zeros((steps, batch, hid + din))
-        gates_all = np.zeros((steps, 4, batch, hid))
-        h_all = np.zeros((steps + 1, batch, hid))
-        c_all = np.zeros((steps + 1, batch, hid))
+        # z_all[t] is [h_t, x_t]: the inputs go in once, each h_{t+1} is
+        # written into the next step's slot as it is computed
+        z_all = np.empty((steps, batch, hid + lp.input_width))
+        z_all[:, :, hid:] = layer_input
+        z_all[0, :, :hid] = 0.0
+        gates_all = np.empty((steps, 4, batch, hid))
+        h_all = np.empty((steps + 1, batch, hid))
+        c_all = np.empty((steps + 1, batch, hid))
+        h_all[0] = c_all[0] = 0.0
         for t in range(steps):
-            z = np.concatenate([h_all[t], layer_input[t]], axis=1)
-            a = z @ w_t  # (4, B, H) pre-activations
+            a = z_all[t] @ w_t  # (4, B, H) pre-activations
             a += b
-            i, f, c_tilde, o = gates_all[t]
-            i[:], f[:], o[:] = sigmoid(a[0]), sigmoid(a[1]), sigmoid(a[3])
-            c_tilde[:] = np.tanh(a[2])
-            c = f * c_all[t] + i * c_tilde
-            z_all[t], c_all[t + 1], h_all[t + 1] = z, c, o * np.tanh(c)
+            gates = gates_all[t]
+            gates[:2] = sigmoid(a[:2])
+            np.tanh(a[2], out=gates[2])
+            gates[3] = sigmoid(a[3])
+            i, f, c_tilde, o = gates
+            c, h = c_all[t + 1], h_all[t + 1]
+            np.multiply(f, c_all[t], out=c)
+            c += i * c_tilde
+            np.tanh(c, out=h)
+            h *= o
+            if t + 1 < steps:
+                z_all[t + 1, :, :hid] = h
         trace.layer_z.append(z_all)
         trace.layer_gates.append(gates_all)
         trace.layer_h.append(h_all)

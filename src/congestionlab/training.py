@@ -43,16 +43,16 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """First and second moments as flat vectors in parameter_items order."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros_like(cls, model: ModelParameters) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in parameter_items(model)},
-            v={name: np.zeros_like(arr) for name, arr in parameter_items(model)},
-        )
+        size = nn.parameter_count(model.config)
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 @dataclass
@@ -123,6 +123,7 @@ def backward(model: ModelParameters, trace: ForwardTrace,
 
         dh_carry = np.zeros((batch, hid))
         dc_carry = np.zeros((batch, hid))
+        da = np.empty((4, batch, hid))  # gradient of the gate pre-activations
         for t in range(steps - 1, -1, -1):
             dh = dh_seq[t] + dh_carry
             i, f, c_tilde, o = gates_all[t]
@@ -135,9 +136,10 @@ def backward(model: ModelParameters, trace: ForwardTrace,
             df = dc * c_prev
             dct = dc * i
 
-            # (4, B, H) gradient of the gate pre-activations
-            da = np.stack([di * i * (1.0 - i), df * f * (1.0 - f),
-                           dct * (1.0 - c_tilde ** 2), do * o * (1.0 - o)])
+            np.multiply(di * i, 1.0 - i, out=da[0])
+            np.multiply(df * f, 1.0 - f, out=da[1])
+            np.multiply(dct, 1.0 - c_tilde ** 2, out=da[2])
+            np.multiply(do * o, 1.0 - o, out=da[3])
             dw += da.transpose(0, 2, 1) @ z_all[t]
             db += da.sum(axis=1)
             dz = (da @ lp.w).sum(axis=0)
@@ -207,18 +209,36 @@ def adam_step(model: ModelParameters, grads: dict[str, np.ndarray],
               state: AdamState, lr: float = 0.001, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8
               ) -> tuple[ModelParameters, AdamState]:
-    """Standard bias-corrected Adam update; parameters updated in place."""
+    """Standard bias-corrected Adam update; parameters updated in place.
+
+    A non-finite gradient raises before the model or the state changes."""
+    g = flatten_gradients(model, grads)
+    if not np.isfinite(g).all():
+        name = next(name for name, _ in parameter_items(model)
+                    if not np.isfinite(grads[name]).all())
+        raise TrainingDivergedError(f"non-finite gradient in {name}")
     state.t += 1
-    t = state.t
-    for name, param in parameter_items(model):
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"non-finite gradient in {name}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g ** 2
-        m_hat = state.m[name] / (1.0 - beta1 ** t)
-        v_hat = state.v[name] / (1.0 - beta2 ** t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    t, m, v = state.t, state.m, state.v
+    # in place, each element gets the IEEE operations of
+    # m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g ** 2,
+    # step = lr * m_hat / (sqrt(v_hat) + eps); only commuted operands differ
+    step = (1.0 - beta1) * g
+    m *= beta1
+    m += step
+    g *= g
+    g *= 1.0 - beta2
+    v *= beta2
+    v += g
+    np.divide(m, 1.0 - beta1 ** t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - beta2 ** t, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    step /= g
+    pos = 0
+    for _, param in parameter_items(model):
+        param -= step[pos:pos + param.size].reshape(param.shape)
+        pos += param.size
     return model, state
 
 

@@ -24,6 +24,17 @@ def oracle_sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def reference_sigmoid(x):
+    """The two-branch masked logistic that nn.sigmoid must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def oracle_forward(model, inputs, dropout_masks=None):
     """Step-by-step scalar-loop recomputation of the stacked forward pass."""
     x_seq = [np.asarray(x, dtype=float) for x in inputs]
@@ -83,6 +94,26 @@ class TestActivations:
     def test_sigmoid_extreme_values_stable(self):
         assert sigmoid(800.0) == 1.0
         assert sigmoid(-800.0) == 0.0
+
+    def test_sigmoid_bits_match_two_branch_reference(self):
+        rng = np.random.default_rng(0)
+        edges = [0.0, -0.0, 745.0, -745.0, 750.0, -750.0, np.inf, -np.inf,
+                 np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0]
+        values = np.concatenate([rng.normal(scale=s, size=500)
+                                 for s in (0.1, 3.0, 40.0, 300.0)] + [edges])
+        rng.shuffle(values)
+
+        def same_bits(x):
+            got = sigmoid(x)
+            return np.asarray(got).tobytes() == reference_sigmoid(x).tobytes()
+
+        # every length up to 70 exercises each SIMD tail
+        assert all(same_bits(values[:n]) for n in range(1, 71))
+        assert same_bits(values)
+        assert same_bits(values[3::7])  # strided view
+        assert same_bits(values[:64].reshape(8, 8)[:, ::2])
+        assert all(same_bits(np.float64(v)) for v in edges)
+        assert isinstance(sigmoid(np.float64(-3.0)), float)
 
     def test_softmax_equal_logits(self):
         for a in (-3.0, 0.0, 7.5):

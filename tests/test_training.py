@@ -231,14 +231,52 @@ class TestClipAndAdam:
             # eps in the denominator perturbs the step by ~eps/|g|
             assert abs(delta).max() == pytest.approx(0.001, rel=2e-5)
 
+    @staticmethod
+    def random_grads(model, rng):
+        return {name: rng.normal(scale=0.1, size=arr.shape)
+                for name, arr in parameter_items(model)}
+
     def test_non_finite_gradient_raises(self):
-        model = self.scalar_model()
+        model = init_parameters(ModelConfig(hidden_units=4), seed=0)
+        rng = np.random.default_rng(0)
         state = AdamState.zeros_like(model)
-        grads = {name: np.zeros_like(arr)
-                 for name, arr in parameter_items(model)}
-        grads["dense.b_out"] = np.array([np.nan, 0.0, 0.0])
-        with pytest.raises(TrainingDivergedError):
+        adam_step(model, self.random_grads(model, rng), state)
+        before = flatten_parameters(model)
+        m, v = state.m.copy(), state.v.copy()
+        grads = self.random_grads(model, rng)
+        grads["dense.b_out"][1] = np.nan
+        with pytest.raises(TrainingDivergedError, match="dense.b_out"):
             adam_step(model, grads, state)
+        # nothing moved: no tensor before the bad one took its step
+        np.testing.assert_array_equal(flatten_parameters(model), before)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+        assert state.t == 1
+
+    def test_adam_bits_match_per_tensor_reference(self):
+        lr, beta1, beta2, eps = 0.001, 0.9, 0.999, 1e-8
+        model = init_parameters(ModelConfig(), seed=0)
+        reference = model.copy()
+        ref_m = {name: np.zeros_like(arr)
+                 for name, arr in parameter_items(reference)}
+        ref_v = {name: np.zeros_like(m) for name, m in ref_m.items()}
+        state = AdamState.zeros_like(model)
+        rng = np.random.default_rng(1)
+        for t in range(1, 4):
+            grads = self.random_grads(model, rng)
+            adam_step(model, grads, state, lr, beta1, beta2, eps)
+            for name, param in parameter_items(reference):
+                g = grads[name]
+                ref_m[name] = beta1 * ref_m[name] + (1.0 - beta1) * g
+                ref_v[name] = beta2 * ref_v[name] + (1.0 - beta2) * g ** 2
+                m_hat = ref_m[name] / (1.0 - beta1 ** t)
+                v_hat = ref_v[name] / (1.0 - beta2 ** t)
+                param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert state.t == t
+            assert np.array_equal(flatten_parameters(model),
+                                  flatten_parameters(reference))
+            assert np.array_equal(state.m, flatten_gradients(model, ref_m))
+            assert np.array_equal(state.v, flatten_gradients(model, ref_v))
 
 
 def toy_split(n=20, seed=0):
