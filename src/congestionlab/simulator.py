@@ -15,8 +15,11 @@ controller hook, and applies whatever ControlAction comes back:
   low-priority packet when the buffer is full.
 * NONE restores full-rate FIFO service.
 
-Per-packet delay decomposes into propagation + transmission + queueing +
-processing components.  Runs are deterministic under (config, seed).
+Each device draws its exponential arrival gaps from its own substream of
+the seed in one call and sums them in order; the devices merge by (time,
+device).  Per-packet delay is ((propagation + transmission) + queueing) +
+processing, in that order both in `total_delay` and inline in `run`.
+Runs are deterministic under (config, seed).
 
 Every packet is `SimConfig.packet_size_bits` long.  `run` returns a
 SimResult carrying only aggregates: one TelemetryRecord and one IntervalStats
@@ -44,6 +47,8 @@ class SimulationError(ValueError):
 
 # a run holds one record per interval and draws every arrival up front
 MAX_COUNT = 10**7
+# schedule_arrivals draws mean + this many sqrt(mean) gaps per device at once
+ARRIVAL_OVERDRAW_SIGMAS = 6.0
 
 
 class LoadScenario(Enum):
@@ -110,7 +115,7 @@ class SimConfig:
         return int(round(self.duration_s / self.telemetry_interval_s))
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     enqueued_s: float
     priority: str = "low"            # "high" = delay-sensitive class
@@ -165,21 +170,32 @@ def label_congestion(mean_occupancy: float) -> CongestionLevel:
 def schedule_arrivals(config: SimConfig) -> list[tuple[float, int]]:
     """Pre-draw every device's Poisson arrival times and merge them into
     (time, device) pairs in time order.  Each device gets its own
-    substream of `config.seed` so the merged stream is reproducible."""
+    substream of `config.seed` so the merged stream is reproducible.
+
+    A device's gaps are drawn in batches and summed in order: bit for bit
+    the times of adding one gap at a time up to `duration_s`."""
     rate = config.per_device_rate_pps
-    arrivals: list[tuple[float, int]] = []
     if rate <= 0:
-        return arrivals
+        return []
+    scale, end = 1.0 / rate, config.duration_s
+    mean = rate * end
+    draws = max(1, int(mean + ARRIVAL_OVERDRAW_SIGMAS * np.sqrt(mean)) + 1)
+    times, devices = [], []
     for device in range(config.device_count):
         rng = np.random.default_rng([config.seed, device])
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / rate)
-            if t >= config.duration_s:
-                break
-            arrivals.append((t, device))
-    arrivals.sort()
-    return arrivals
+        t = np.cumsum(rng.exponential(scale, size=draws))
+        chunks = [t]
+        while t[-1] < end:  # same stream, summed on from the last time
+            more = rng.exponential(scale, size=draws)
+            t = np.cumsum(np.concatenate(([t[-1]], more)))[1:]
+            chunks.append(t)
+        t = np.concatenate(chunks)
+        t = t[:np.searchsorted(t, end, side="left")]
+        times.append(t)
+        devices.append(np.full(t.size, device))
+    times, devices = np.concatenate(times), np.concatenate(devices)
+    order = np.lexsort((devices, times))
+    return list(zip(times[order].tolist(), devices[order].tolist()))
 
 
 @dataclass
@@ -215,14 +231,9 @@ class IntervalStats:
 class SimState:
     config: SimConfig
     queue: deque = field(default_factory=deque)
-    in_service: Packet | None = None
     discipline: str = "fifo"             # "fifo" | "priority"
     shaper: TokenBucket | None = None
-    injected: int = 0
-    delivered: int = 0
     dropped: int = 0
-    suppressed: int = 0
-    conservation_violations: int = 0
 
 
 def apply_action(state: SimState, action: ControlAction, now: float = 0.0):
@@ -291,13 +302,22 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
     arrivals = schedule_arrivals(config)
     high_priority_devices = int(round(config.priority_fraction
                                       * config.device_count))
-    size = config.packet_size_bits
     inf = float("inf")
+    arrival_times = [t for t, _ in arrivals] + [inf]
+    priorities = ["high" if device < high_priority_devices else "low"
+                  for _, device in arrivals]
+    size = config.packet_size_bits
+    service_s = size / config.link_capacity_bps
+    # total_delay's order: (propagation + transmission) + queueing + processing
+    fixed_ms = config.propagation_ms + service_s * 1000.0
 
     state = SimState(config=config)
+    queue = state.queue
     telemetry: list[TelemetryRecord] = []
     interval_log: list[IntervalStats] = []
 
+    injected = delivered = suppressed = violations = 0
+    in_service: Packet | None = None
     last_occ_time = 0.0
     arrival_idx = 0
     service_end = inf  # time the in-service packet finishes
@@ -305,51 +325,47 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
 
     for interval_idx in range(config.intervals):
         boundary = (interval_idx + 1) * config.telemetry_interval_s
-        injected0, delivered0, dropped0 = (state.injected, state.delivered,
-                                           state.dropped)
+        injected0, delivered0, dropped0 = injected, delivered, state.dropped
+        shaper = state.shaper
         delivered_bits = 0.0
         delays_ms: list[float] = []
         occ_integral = 0.0
 
         while True:
-            next_arrival = arrivals[arrival_idx][0] \
-                if arrival_idx < len(arrivals) else inf
+            next_arrival = arrival_times[arrival_idx]
             now = min(next_arrival, service_end, boundary)
-            occ_integral += len(state.queue) * (now - last_occ_time)
+            occ_integral += len(queue) * (now - last_occ_time)
             last_occ_time = now
             if now >= boundary:
                 break
             if service_end <= next_arrival:
-                pkt = state.in_service
-                state.in_service = None
-                service_end = inf
-                state.delivered += 1
+                delivered += 1
                 delivered_bits += size
-                delays_ms.append(total_delay(compute_packet_delay(pkt, config)))
+                delays_ms.append(fixed_ms + (in_service.service_start_s
+                                             - in_service.enqueued_s) * 1000.0
+                                 + config.processing_ms)
+                in_service = None
+                service_end = inf
             else:
-                t_arr, device = arrivals[arrival_idx]
-                arrival_idx += 1
-                if state.shaper is not None and not state.shaper.admit(now, size):
-                    state.suppressed += 1
+                if shaper is not None and not shaper.admit(now, size):
+                    suppressed += 1
                 else:
-                    state.injected += 1
-                    enqueue(state, Packet(
-                        enqueued_s=t_arr,
-                        priority="high" if device < high_priority_devices else "low",
-                    ))
-            if state.in_service is None and state.queue:
-                pkt = _next_to_serve(state)
-                pkt.service_start_s = now
-                service_end = now + size / config.link_capacity_bps
-                state.in_service = pkt
-            in_system = len(state.queue) + (state.in_service is not None)
-            if state.injected != state.delivered + state.dropped + in_system:
-                state.conservation_violations += 1
+                    injected += 1
+                    enqueue(state, Packet(next_arrival,
+                                          priorities[arrival_idx]))
+                arrival_idx += 1
+            if in_service is None and queue:
+                in_service = _next_to_serve(state)
+                in_service.service_start_s = now
+                service_end = now + service_s
+            if injected != (delivered + state.dropped + len(queue)
+                            + (in_service is not None)):
+                violations += 1
 
         stats = IntervalStats(
             index=interval_idx,
-            injected=state.injected - injected0,
-            delivered=state.delivered - delivered0,
+            injected=injected - injected0,
+            delivered=delivered - delivered0,
             dropped=state.dropped - dropped0,
             delivered_bits=delivered_bits,
             total_delays_ms=delays_ms,
@@ -379,15 +395,14 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
                 apply_action(state, action, now=boundary)
                 current_action = action
 
-    in_flight = 1 if state.in_service is not None else 0
     counters = {
-        "injected": state.injected,
-        "delivered": state.delivered,
+        "injected": injected,
+        "delivered": delivered,
         "dropped": state.dropped,
-        "suppressed": state.suppressed,
-        "queued": len(state.queue),
-        "in_flight": in_flight,
-        "conservation_violations": state.conservation_violations,
+        "suppressed": suppressed,
+        "queued": len(queue),
+        "in_flight": int(in_service is not None),
+        "conservation_violations": violations,
     }
     return SimResult(telemetry=telemetry, intervals=interval_log,
                      counters=counters)

@@ -1,5 +1,6 @@
 """Discrete-event simulator: arrivals, queueing, delays, labels, actions."""
 
+import bisect
 import dataclasses
 import itertools
 
@@ -43,7 +44,59 @@ class TestConfig:
             SimConfig(buffer_packets=0)
 
 
+def scalar_arrivals(config):
+    """Reference for schedule_arrivals: each device adds one gap at a time
+    and stops at the first time at or past duration_s."""
+    rate = config.per_device_rate_pps
+    arrivals = []
+    if rate <= 0:
+        return arrivals
+    for device in range(config.device_count):
+        rng = np.random.default_rng([config.seed, device])
+        t = 0.0
+        while True:
+            t += rng.exponential(1.0 / rate)
+            if t >= config.duration_s:
+                break
+            arrivals.append((t, device))
+    arrivals.sort()
+    return arrivals
+
+
+def arrival_config(scenario, seed, device_count, duration_s):
+    return SimConfig(duration_s=duration_s, telemetry_interval_s=duration_s,
+                     device_count=device_count, scenario=scenario, seed=seed)
+
+
 class TestArrivals:
+    @pytest.mark.parametrize("scenario", list(LoadScenario))
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("device_count", [0, 1, 20])
+    @pytest.mark.parametrize("duration_s", [60.0, 0.05])
+    def test_matches_scalar_reference(self, scenario, seed, device_count,
+                                      duration_s):
+        cfg = arrival_config(scenario, seed, device_count, duration_s)
+        assert schedule_arrivals(cfg) == scalar_arrivals(cfg)
+
+    def test_short_run_leaves_devices_silent(self):
+        cfg = arrival_config(LoadScenario.LOW, 0, 20, 0.05)
+        arrivals = schedule_arrivals(cfg)
+        assert 0 < len({device for _, device in arrivals}) < 20
+        assert arrivals == scalar_arrivals(cfg)
+
+    # 1e-9: each device first draws about its mean count and continues about
+    # half the time; -1e9: one gap first, every later one a continuation
+    @pytest.mark.parametrize("sigmas", [1e-9, -1e9])
+    @pytest.mark.parametrize("scenario", list(LoadScenario))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_short_overdraw_continues_stream(self, monkeypatch, sigmas,
+                                             scenario, seed):
+        monkeypatch.setattr(simulator, "ARRIVAL_OVERDRAW_SIGMAS", sigmas)
+        cfg = arrival_config(scenario, seed, 20, 60.0)
+        arrivals = schedule_arrivals(cfg)
+        assert len(arrivals) > cfg.device_count
+        assert arrivals == scalar_arrivals(cfg)
+
     def test_zero_rate_no_arrivals(self):
         cfg = SimConfig(device_count=0, duration_s=10.0,
                         telemetry_interval_s=10.0)
@@ -320,32 +373,56 @@ class TestRun:
 
     def test_qos_prioritizes_high_class_delay(self, monkeypatch):
         cfg = SimConfig(duration_s=100.0, scenario=LoadScenario.HIGH, seed=4)
-        # per-class total delays of each interval, keyed by the action in
-        # force; a new interval starts after every hook call
-        intervals = [(ControlAction.NONE, {"high": [], "low": []})]
-        delay_of = simulator.compute_packet_delay
+        served = []
+        next_to_serve = simulator._next_to_serve
 
-        def recording_delay(packet, config):
-            breakdown = delay_of(packet, config)
-            intervals[-1][1][packet.priority].append(
-                simulator.total_delay(breakdown))
-            return breakdown
+        def recording_next(state):
+            packet = next_to_serve(state)
+            served.append(packet)
+            return packet
 
-        def always_qos(record):
-            intervals.append((ControlAction.QOS_ADJUSTMENT,
-                              {"high": [], "low": []}))
-            return ControlAction.QOS_ADJUSTMENT
-
-        monkeypatch.setattr(simulator, "compute_packet_delay", recording_delay)
-        result = run(cfg, controller_hook=always_qos)
-        assert [action for action, _ in intervals[:-1]] \
-            == [iv.action_in_force for iv in result.intervals]
-        qos_intervals = [delays for action, delays in intervals
-                         if action == ControlAction.QOS_ADJUSTMENT
-                         and delays["high"] and delays["low"]]
-        assert qos_intervals
+        monkeypatch.setattr(simulator, "_next_to_serve", recording_next)
+        result = run(cfg, controller_hook=lambda record:
+                     ControlAction.QOS_ADJUSTMENT)
+        # recompute each served packet's delay through DelayBreakdown and
+        # file it under the interval its service ended in (the first
+        # boundary past the end; the packet still in flight has none)
+        boundaries = [rec.timestamp_s for rec in result.telemetry]
+        service_s = cfg.packet_size_bits / cfg.link_capacity_bps
+        per_interval = [{"high": [], "low": []} for _ in boundaries]
+        for packet in served:
+            k = bisect.bisect_right(boundaries,
+                                    packet.service_start_s + service_s)
+            if k < len(boundaries):
+                per_interval[k][packet.priority].append(simulator.total_delay(
+                    compute_packet_delay(packet, cfg)))
+        qos_intervals = []
+        for stats, delays in zip(result.intervals, per_interval):
+            # the inline delay and the DelayBreakdown sum agree bit for bit
+            assert sorted(delays["high"] + delays["low"]) \
+                == sorted(stats.total_delays_ms)
+            if stats.action_in_force == ControlAction.QOS_ADJUSTMENT \
+                    and delays["high"] and delays["low"]:
+                qos_intervals.append(delays)
+        assert len(qos_intervals) == len(boundaries) - 1
         for delays in qos_intervals:
             assert np.mean(delays["high"]) <= np.mean(delays["low"])
+
+    def test_run_looks_up_module_seams(self, monkeypatch):
+        # the benchmark times schedule_arrivals and clocks each interval by
+        # wrapping these module attributes
+        cfg = SimConfig(duration_s=50.0, scenario=LoadScenario.HIGH, seed=2)
+        schedule, label = simulator.schedule_arrivals, simulator.label_congestion
+        scheduled, labelled = [], []
+        monkeypatch.setattr(simulator, "schedule_arrivals",
+                            lambda config: scheduled.append(config)
+                            or schedule(config))
+        monkeypatch.setattr(simulator, "label_congestion",
+                            lambda occupancy: labelled.append(occupancy)
+                            or label(occupancy))
+        result = run(cfg)
+        assert scheduled == [cfg]
+        assert labelled == [rec.queue_occupancy for rec in result.telemetry]
 
     def test_hook_action_applied_next_interval(self):
         cfg = SimConfig(duration_s=30.0, scenario=LoadScenario.HIGH, seed=6)
