@@ -3,11 +3,13 @@
 Subcommands: gen-data, train, evaluate, run-experiment, compare, replay.
 Configuration is a single JSON file read into one RunConfig: four top-level
 scalars plus the sections sim / model / training / policy, one per module
-config; any leaf can be overridden with --set section.key=value.  Every field
-is type- and range-checked, and the keys the commands derive (sim.scenario,
-sim.seed, training.seed, model.features, model.classes) are refused; any
-ConfigError surfaces before a command writes output.  Every command is
-deterministic under the master seed.
+config (policy holds only the threshold); any leaf can be overridden with
+--set section.key=value.  Every field is type- and range-checked, and the
+keys the commands derive (sim.scenario, sim.seed, training.seed,
+model.features, model.classes) are refused; any ConfigError surfaces before
+a command writes output.  compare likewise refuses a report.json field of
+the wrong type or a non-finite number.  Every command is deterministic under
+the master seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 acceptance-check failure
 (replay mismatch or training divergence).
@@ -96,8 +98,7 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
                 raise ConfigError(f"{name!r} must be an object, got {fields!r}")
             if fields.keys() & derived:
                 raise ConfigError(f"{name} keys {fields.keys() & derived} are derived")
-            config[name] = section(**{k: tuple(v) if isinstance(v, list)
-                                      else v for k, v in fields.items()})
+            config[name] = section(**fields)
         return RunConfig(**config)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from None
@@ -235,10 +236,15 @@ def _load_report(path: str) -> metrics.ExperimentReport:
         raise ConfigError(f"report not found: {path}")
     try:
         data = json.loads(p.read_text())
+        summary = metrics.RunSummary(**data["summary"])
+        check_fields(summary, ConfigError)
+        if type(data["seed"]) is not int or not all(
+                isinstance(data[key], str) for key in ("scenario", "predictor")):
+            raise ConfigError("seed must be an int, scenario and predictor str")
         return metrics.ExperimentReport(
             scenario=data["scenario"], predictor=data["predictor"],
             seed=data["seed"], config_digest=data["config_digest"],
-            intervals=[], summary=metrics.RunSummary(**data["summary"]))
+            intervals=[], summary=summary)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: not a run report ({exc!r})") from None
 

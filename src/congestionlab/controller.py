@@ -2,14 +2,15 @@
 
 Every predictor runs the same control step: push the new telemetry record
 into a rolling window, issue no action until the window is full, then score
-the window on [0,1], quantize the score and apply the threshold policy.  A
-score below the threshold (0.5 by default) means no action; at or above it,
-a non-decreasing score triggers traffic shaping and a declining one a QoS
-adjustment.  Predictors differ only in their window length and scorer: the
-LSTM collapses its class probabilities into an expected congestion level
-(weights 0 / 0.5 / 1 by default), the fuzzy baseline defuzzifies its fixed
-rule base, and the uncontrolled baseline has no scorer and never acts.  The
-controller's `policy` holds the one threshold it decides by and logs.
+the window on [0,1], round the score to SCORE_DECIMALS and apply the
+threshold policy.  A score below the threshold (0.5 by default) means no
+action; at or above it, a non-decreasing score triggers traffic shaping and
+a declining one a QoS adjustment.  Predictors differ only in their window
+length and scorer: the LSTM collapses its class probabilities into an
+expected congestion level (SCORE_WEIGHTS 0 / 0.5 / 1), the fuzzy baseline
+defuzzifies its fixed rule base, and the uncontrolled baseline has no scorer
+and never acts.  The controller's `policy` holds the one threshold it decides
+by and logs; the weights and decimals are constants, not settings.
 """
 
 from __future__ import annotations
@@ -38,38 +39,31 @@ class ControlAction(Enum):
         return self.value
 
 
+# expected congestion level of the LOW / MEDIUM / HIGH class probabilities
+SCORE_WEIGHTS = (0.0, 0.5, 1.0)
+# Scores are rounded before the rise/fall comparison; raw softmax
+# scores jitter at the 1e-6 scale near saturation, which would make
+# "declining" fire on numerical noise.  Two decimals matches the
+# resolution at which reported predictions are expressed.
+SCORE_DECIMALS = 2
+
+
 @dataclass
 class PolicyConfig:
     threshold: float = 0.5
-    score_weights: tuple[float, float, float] = (0.0, 0.5, 1.0)
-    # Scores are quantized before the rise/fall comparison; raw softmax
-    # scores jitter at the 1e-6 scale near saturation, which would make
-    # "declining" fire on numerical noise.  Two decimals matches the
-    # resolution at which reported predictions are expressed.
-    score_decimals: int | None = 2
 
     def __post_init__(self):
-        check_fields(self, ValueError, non_negative=("score_decimals",))
+        check_fields(self, ValueError)
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0,1)")
-        w = self.score_weights
-        if not (0.0 <= w[0] <= w[1] <= w[2] <= 1.0):
-            raise ValueError("score weights must be non-decreasing within [0,1]")
-
-    def quantize(self, score: float) -> float:
-        if self.score_decimals is None:
-            return score
-        return round(score, self.score_decimals)
 
 
-def congestion_score(probabilities,
-                     weights: tuple[float, float, float] = (0.0, 0.5, 1.0)
-                     ) -> float:
-    """Weighted collapse of the 3-class distribution onto [0,1]."""
+def congestion_score(probabilities) -> float:
+    """SCORE_WEIGHTS collapse of the 3-class distribution onto [0,1]."""
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (3,):
         raise ValueError("expected a 3-class probability vector")
-    return float(np.dot(p, weights))
+    return float(np.dot(p, SCORE_WEIGHTS))
 
 
 def decide(score: float, previous_score: float | None = None,
@@ -104,7 +98,7 @@ class Controller:
         if self.score_window is None or len(self.window) < self.window.maxlen:
             self.last_score = None
             return ControlAction.NONE
-        score = self.policy.quantize(self.score_window(self.window))
+        score = round(self.score_window(self.window), SCORE_DECIMALS)
         action = decide(score, self.previous_score, self.policy.threshold)
         self.previous_score = score
         self.last_score = score
@@ -128,7 +122,7 @@ class LstmController(Controller):
     def score_window(self, window) -> float:
         inputs = self.stats.transform(records_to_matrix(list(window)))
         probs, _ = nn.forward(self.model, inputs, train=False)
-        return congestion_score(probs, self.policy.score_weights)
+        return congestion_score(probs)
 
 
 class FlsController(Controller):

@@ -134,7 +134,7 @@ class ForwardTrace:
     layer_gates: list[np.ndarray]            # (T, 4, B, H): i, f, c~, o
     layer_h: list[np.ndarray]                # (T+1, B, H)
     layer_c: list[np.ndarray]                # (T+1, B, H)
-    dropout_masks: list[np.ndarray] = field(default_factory=list)  # (T, B, H)
+    dropout_masks: list[np.ndarray] = field(default_factory=list)  # train only
     final_hidden: np.ndarray | None = None   # (B, H)
     probabilities: np.ndarray | None = None  # (B, classes)
 
@@ -153,38 +153,24 @@ def predict_class(probabilities) -> CongestionLevel:
     return CongestionLevel(idx)
 
 
-def apply_dropout(h: np.ndarray, rate: float = 0.2,
-                  rng: np.random.Generator | None = None,
-                  train: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout: zero with probability `rate`, scale survivors by
-    1/(1-rate).  Identity (all-ones mask) in inference mode or at rate 0."""
-    h = np.asarray(h, dtype=float)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0,1)")
-    if not train or rate == 0.0:
-        return h, np.ones_like(h)
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
-    return h * mask, mask
-
-
 def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = False,
                   rng: np.random.Generator | None = None,
                   dropout_masks: list[np.ndarray] | None = None
                   ) -> tuple[np.ndarray, ForwardTrace]:
     """Run the stacked network over a (B, T, F) batch.
 
-    In train mode dropout masks are drawn from `rng` (or reused from
-    `dropout_masks`, e.g. when re-evaluating the loss for a finite-difference
-    probe); in inference mode dropout is the identity.
+    In train mode at a dropout rate above 0, each inter-layer mask is reused
+    from `dropout_masks` (e.g. when re-evaluating the loss for a
+    finite-difference probe) or drawn from `rng`, and kept in the trace;
+    otherwise dropout is the identity and the trace holds no mask.
     """
     cfg = model.config
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 3 or inputs.shape[2] != cfg.features:
         raise ValueError(f"expected (B, T, {cfg.features}) inputs, got {inputs.shape}")
     batch, steps, _ = inputs.shape
-    hid = cfg.hidden_units
+    hid, rate = cfg.hidden_units, cfg.dropout_rate
+    dropout = train and rate > 0.0
 
     trace = ForwardTrace(inputs=inputs, layer_z=[], layer_gates=[],
                          layer_h=[], layer_c=[])
@@ -221,16 +207,16 @@ def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = Fals
         trace.layer_h.append(h_all)
         trace.layer_c.append(c_all)
 
-        layer_output = h_all[1:]  # (T, B, H)
-        if layer_idx < len(model.layers) - 1:
-            if train and cfg.dropout_rate > 0.0 and dropout_masks is not None:
+        layer_input = h_all[1:]  # (T, B, H)
+        if dropout and layer_idx < len(model.layers) - 1:
+            if dropout_masks is not None:
                 mask = dropout_masks[layer_idx]
-                layer_output = layer_output * mask
+            elif rng is None:
+                raise ValueError("train-mode dropout needs an rng")
             else:
-                layer_output, mask = apply_dropout(
-                    layer_output, cfg.dropout_rate, rng, train)
+                mask = (rng.random(layer_input.shape) >= rate) / (1.0 - rate)
+            layer_input = layer_input * mask
             trace.dropout_masks.append(mask)
-        layer_input = layer_output
 
     final_h = trace.layer_h[-1][-1]  # (B, H)
     probs = dense_softmax(model.dense, final_h)

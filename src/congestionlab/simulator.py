@@ -167,16 +167,16 @@ def label_congestion(mean_occupancy: float) -> CongestionLevel:
     return CongestionLevel.HIGH
 
 
-def schedule_arrivals(config: SimConfig) -> list[tuple[float, int]]:
+def schedule_arrivals(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Pre-draw every device's Poisson arrival times and merge them into
-    (time, device) pairs in time order.  Each device gets its own
-    substream of `config.seed` so the merged stream is reproducible.
+    (times, devices) arrays in (time, device) order.  Each device gets its
+    own substream of `config.seed` so the merged stream is reproducible.
 
     A device's gaps are drawn in batches and summed in order: bit for bit
     the times of adding one gap at a time up to `duration_s`."""
     rate = config.per_device_rate_pps
     if rate <= 0:
-        return []
+        return np.empty(0), np.empty(0, dtype=int)
     scale, end = 1.0 / rate, config.duration_s
     mean = rate * end
     draws = max(1, int(mean + ARRIVAL_OVERDRAW_SIGMAS * np.sqrt(mean)) + 1)
@@ -195,7 +195,7 @@ def schedule_arrivals(config: SimConfig) -> list[tuple[float, int]]:
         devices.append(np.full(t.size, device))
     times, devices = np.concatenate(times), np.concatenate(devices)
     order = np.lexsort((devices, times))
-    return list(zip(times[order].tolist(), devices[order].tolist()))
+    return times[order], devices[order]
 
 
 @dataclass
@@ -299,13 +299,13 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
     return a ControlAction (or None, treated as ControlAction.NONE) that is
     applied before the next interval starts.
     """
-    arrivals = schedule_arrivals(config)
+    times, devices = schedule_arrivals(config)
     high_priority_devices = int(round(config.priority_fraction
                                       * config.device_count))
     inf = float("inf")
-    arrival_times = [t for t, _ in arrivals] + [inf]
-    priorities = ["high" if device < high_priority_devices else "low"
-                  for _, device in arrivals]
+    arrival_times = times.tolist() + [inf]
+    is_high = (devices < high_priority_devices).astype(int)
+    priorities = np.array(["low", "high"], dtype=object)[is_high].tolist()
     size = config.packet_size_bits
     service_s = size / config.link_capacity_bps
     # total_delay's order: (propagation + transmission) + queueing + processing

@@ -45,9 +45,6 @@ def _has_type(value, hint) -> bool:
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
         return value is None or _has_type(value, args[0])
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, tuple) and len(value) == len(args) \
-            and all(map(_has_type, value, args))
     if isinstance(value, bool) != (hint is bool):
         return False
     if hint is float:  # an int too large for a float is not finite either

@@ -34,7 +34,7 @@ class TrainingConfig:
     batch_size: int = 32
     patience: int = 10
     seed: int = 0
-    clip_norm: float | None = 5.0
+    clip_norm: float = 5.0
 
     def __post_init__(self):
         check_fields(self, ValueError, non_negative=("seed",), positive=(
@@ -114,7 +114,7 @@ def backward(model: ModelParameters, trace: ForwardTrace,
         gates_all = trace.layer_gates[layer_idx]
         c_all = trace.layer_c[layer_idx]
 
-        if layer_idx < len(model.layers) - 1:
+        if layer_idx < len(trace.dropout_masks):
             # this layer's h fed the layer above through a dropout mask
             dh_seq = dh_seq * trace.dropout_masks[layer_idx]
 
@@ -163,10 +163,9 @@ def flatten_gradients(model: ModelParameters,
 
 def batch_loss(model: ModelParameters, inputs: np.ndarray, targets: np.ndarray,
                train: bool = False,
-               dropout_masks: list[np.ndarray] | None = None,
-               rng: np.random.Generator | None = None) -> float:
+               dropout_masks: list[np.ndarray] | None = None) -> float:
     """Mean cross-entropy over a (B, T, F) batch."""
-    probs, _ = forward_batch(model, inputs, train=train, rng=rng,
+    probs, _ = forward_batch(model, inputs, train=train,
                              dropout_masks=dropout_masks)
     return cross_entropy(probs, targets) / len(inputs)
 
@@ -314,8 +313,7 @@ def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
                     f"non-finite training loss at epoch {epoch}")
             epoch_loss += loss * len(idx)
             grads = backward(model, trace, yb)
-            if config.clip_norm is not None:
-                clip_gradients(grads, config.clip_norm)
+            clip_gradients(grads, config.clip_norm)
             adam_step(model, grads, state, lr=config.learning_rate)
 
         val_loss = batch_loss(model, val_inputs, val_targets, train=False)

@@ -33,6 +33,9 @@ BAD_OVERRIDES = [
     # derived by the commands, so not settings
     "sim.scenario=low", "sim.seed=5", "training.seed=3", "model.features=3",
     "model.classes=4",
+    # clipping is always on; the score weights and decimals are constants
+    "training.clip_norm=null", "policy.score_weights=[0,0.5,1]",
+    "policy.score_decimals=2",
 ]
 
 
@@ -119,6 +122,22 @@ class TestCompare:
         out = capsys.readouterr()
         assert out.out == ""
         assert "b.json" in out.err
+
+    # compared with itself, each of these once printed a row (nan, true
+    # read as 1.0, seed 1.0 pairing with seed 1, a non-str name) and exited 0
+    @pytest.mark.parametrize("key, value", [
+        ("loss_rate", float("nan")), ("mean_delay_ms", True), ("seed", 7.0),
+        ("scenario", 1), ("predictor", None)])
+    def test_bad_report_value_is_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "a.json"
+        write_report(path, "none", 0.25)
+        report = json.loads(path.read_text())
+        (report if key in report else report["summary"])[key] = value
+        path.write_text(json.dumps(report))
+        assert main(["compare", str(path), str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "a.json" in out.err
 
     def test_empty_report_is_error(self, tmp_path, capsys):
         base = write_report(tmp_path / "a.json", "none", 0.25)

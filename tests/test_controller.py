@@ -62,18 +62,19 @@ class TestDecide:
 
 
 class TestPolicyConfig:
-    def test_quantize(self):
-        policy = PolicyConfig(score_decimals=2)
-        assert policy.quantize(0.67891) == 0.68
-        assert PolicyConfig(score_decimals=None).quantize(0.67891) == 0.67891
+    def test_control_step_rounds_score_to_two_decimals(self):
+        class StubController(Controller):
+            def score_window(self, window):
+                return 0.67891
+
+        ctrl = StubController()
+        assert ctrl.control_step(make_record(1.0)) \
+            == ControlAction.TRAFFIC_SHAPING
+        assert ctrl.last_score == 0.68
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
             PolicyConfig(threshold=0.0)
-
-    def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
-            PolicyConfig(score_weights=(0.0, 0.9, 0.5))
 
 
 def constant_probability_model(probs):

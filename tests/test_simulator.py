@@ -63,6 +63,13 @@ def scalar_arrivals(config):
     return arrivals
 
 
+def arrival_pairs(config):
+    """schedule_arrivals' (times, devices) arrays as (time, device) pairs."""
+    times, devices = schedule_arrivals(config)
+    assert times.dtype == float and devices.dtype == int
+    return list(zip(times.tolist(), devices.tolist()))
+
+
 def arrival_config(scenario, seed, device_count, duration_s):
     return SimConfig(duration_s=duration_s, telemetry_interval_s=duration_s,
                      device_count=device_count, scenario=scenario, seed=seed)
@@ -76,11 +83,11 @@ class TestArrivals:
     def test_matches_scalar_reference(self, scenario, seed, device_count,
                                       duration_s):
         cfg = arrival_config(scenario, seed, device_count, duration_s)
-        assert schedule_arrivals(cfg) == scalar_arrivals(cfg)
+        assert arrival_pairs(cfg) == scalar_arrivals(cfg)
 
     def test_short_run_leaves_devices_silent(self):
         cfg = arrival_config(LoadScenario.LOW, 0, 20, 0.05)
-        arrivals = schedule_arrivals(cfg)
+        arrivals = arrival_pairs(cfg)
         assert 0 < len({device for _, device in arrivals}) < 20
         assert arrivals == scalar_arrivals(cfg)
 
@@ -93,22 +100,22 @@ class TestArrivals:
                                              scenario, seed):
         monkeypatch.setattr(simulator, "ARRIVAL_OVERDRAW_SIGMAS", sigmas)
         cfg = arrival_config(scenario, seed, 20, 60.0)
-        arrivals = schedule_arrivals(cfg)
+        arrivals = arrival_pairs(cfg)
         assert len(arrivals) > cfg.device_count
         assert arrivals == scalar_arrivals(cfg)
 
     def test_zero_rate_no_arrivals(self):
         cfg = SimConfig(device_count=0, duration_s=10.0,
                         telemetry_interval_s=10.0)
-        assert schedule_arrivals(cfg) == []
+        assert arrival_pairs(cfg) == []
 
     def test_same_seed_identical(self):
         cfg = SimConfig(duration_s=50.0, telemetry_interval_s=10.0, seed=7)
-        assert schedule_arrivals(cfg) == schedule_arrivals(cfg)
+        assert arrival_pairs(cfg) == arrival_pairs(cfg)
 
     def test_sorted_in_time(self):
         cfg = SimConfig(duration_s=50.0, telemetry_interval_s=10.0, seed=3)
-        times = [t for t, _ in schedule_arrivals(cfg)]
+        times = [t for t, _ in arrival_pairs(cfg)]
         assert times == sorted(times)
 
     def test_poisson_count_concentration(self):
@@ -121,7 +128,7 @@ class TestArrivals:
                     * cfg.duration_s)
         band = 4.0 * np.sqrt(expected)
         for seed in range(trials):
-            count = len(schedule_arrivals(dataclasses.replace(cfg, seed=seed)))
+            count = len(arrival_pairs(dataclasses.replace(cfg, seed=seed)))
             if abs(count - expected) <= band:
                 hits += 1
         assert hits / trials >= 0.99
@@ -133,10 +140,10 @@ class TestArrivals:
         two = dataclasses.replace(base, device_count=2, load_multiplier=0.1)
         one = dataclasses.replace(base, device_count=1, load_multiplier=0.1)
         counts_two = np.mean([
-            len(schedule_arrivals(dataclasses.replace(two, seed=s)))
+            len(arrival_pairs(dataclasses.replace(two, seed=s)))
             for s in range(40)])
         counts_one = np.mean([
-            len(schedule_arrivals(dataclasses.replace(one, seed=s + 1000)))
+            len(arrival_pairs(dataclasses.replace(one, seed=s + 1000)))
             for s in range(40)])
         expected = 0.1 * 100.0 * 200.0
         assert counts_two == pytest.approx(expected, rel=0.05)
@@ -279,7 +286,7 @@ def scripted_five_packet_loss():
                     link_capacity_bps=1000.0, packet_size_bits=1000.0,
                     buffer_packets=2, telemetry_interval_s=10.0,
                     load_multiplier=0.01, seed=123)
-    arrivals = [(0.01 * (k + 1), k) for k in range(5)]
+    arrivals = (0.01 * np.arange(1, 6), np.arange(5))
     return cfg, arrivals
 
 

@@ -1,13 +1,14 @@
 """Loss, gradients (vs finite differences), Adam, dropout, training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from congestionlab import nn, training
-from congestionlab.nn import (ModelConfig, apply_dropout, flatten_parameters,
-                              forward, forward_batch, init_parameters,
+from congestionlab.nn import (ModelConfig, flatten_parameters, forward,
+                              forward_batch, init_parameters,
                               parameter_count, parameter_items,
                               unflatten_parameters)
 from congestionlab.telemetry import DatasetSplit, SequenceSample
@@ -42,34 +43,61 @@ class TestCrossEntropy:
         assert loss == pytest.approx(-math.log(1e-12))
 
 
+def dropout_model(rate, hidden_units=4):
+    return init_parameters(ModelConfig(hidden_units=hidden_units, num_layers=2,
+                                       features=3, dropout_rate=rate), seed=0)
+
+
 class TestDropout:
+    """Inter-layer dropout as forward_batch applies it."""
+
+    x = np.random.default_rng(0).random((6, 5, 3))
+
     def test_inference_identity(self):
-        h = np.random.default_rng(0).random((7, 4))
-        out, mask = apply_dropout(h, rate=0.2, train=False)
-        np.testing.assert_array_equal(out, h)
-        np.testing.assert_array_equal(mask, 1.0)
+        model = dropout_model(0.2)
+        probs, trace = forward_batch(model, self.x, train=False)
+        assert trace.dropout_masks == []
+        without = dataclasses.replace(model, config=dataclasses.replace(
+            model.config, dropout_rate=0.0))
+        np.testing.assert_array_equal(
+            probs, forward_batch(without, self.x, train=False)[0])
 
     def test_rate_zero_identity(self):
-        h = np.random.default_rng(0).random((7, 4))
-        out, mask = apply_dropout(h, rate=0.0, train=True)
-        np.testing.assert_array_equal(out, h)
-        np.testing.assert_array_equal(mask, 1.0)
+        model = dropout_model(0.0)
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        probs, trace = forward_batch(model, self.x, train=True, rng=rng)
+        assert trace.dropout_masks == []
+        assert rng.bit_generator.state == before
+        np.testing.assert_array_equal(
+            probs, forward_batch(model, self.x, train=False)[0])
 
     def test_zeroed_fraction_concentrates(self):
-        h = np.ones(100_000)
-        _, mask = apply_dropout(h, rate=0.2, rng=np.random.default_rng(3))
-        zeroed = float((mask == 0.0).mean())
-        assert abs(zeroed - 0.2) < 0.01
+        x = np.random.default_rng(2).random((100, 20, 3))
+        _, trace = forward_batch(dropout_model(0.2, hidden_units=50), x,
+                                 train=True, rng=np.random.default_rng(3))
+        (mask,) = trace.dropout_masks
+        assert mask.shape == (20, 100, 50)
+        assert abs(float((mask == 0.0).mean()) - 0.2) < 0.01
 
     def test_survivors_scaled(self):
-        h = np.ones(1000)
-        out, mask = apply_dropout(h, rate=0.2, rng=np.random.default_rng(4))
-        kept = out[mask > 0]
-        np.testing.assert_allclose(kept, 1.0 / 0.8)
+        model = dropout_model(0.2)
+        _, trace = forward_batch(model, self.x, train=True,
+                                 rng=np.random.default_rng(4))
+        (mask,) = trace.dropout_masks
+        np.testing.assert_allclose(mask[mask > 0], 1.0 / 0.8)
+        # layer 1 reads layer 0's hidden states through the mask
+        hid = model.config.hidden_units
+        np.testing.assert_array_equal(trace.layer_z[1][..., hid:],
+                                      trace.layer_h[0][1:] * mask)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            apply_dropout(np.ones(3), rate=1.0, rng=np.random.default_rng(0))
+            ModelConfig(dropout_rate=1.0)
+
+    def test_train_mode_needs_rng(self):
+        with pytest.raises(ValueError, match="rng"):
+            forward_batch(dropout_model(0.2), self.x, train=True)
 
 
 class TestBackward:
