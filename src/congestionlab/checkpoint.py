@@ -11,22 +11,21 @@ Layout (UTF-8, line oriented, documented in the README):
 
 Tensor order follows nn.parameter_items.  %.17g round-trips float64 exactly.
 A repeated or unknown header key or tensor name is refused, as is a missing
-tensor.
+tensor and a model whose (features, classes) are not the telemetry schema's.
 Writes are atomic (temp file + rename), so a failed write never leaves a
-partial checkpoint behind.
+partial checkpoint behind; the file's mode follows the umask.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .nn import (ModelConfig, ModelParameters, parameter_count,
-                 parameter_items, unflatten_parameters)
-from .telemetry import NormalizationStats
+                 parameter_items, zero_parameters)
+from .telemetry import FEATURE_COUNT, CongestionLevel, NormalizationStats
 
 MAGIC = "congestionlab-checkpoint v1"
 HEADER_KEYS = ("layers", "hidden", "features", "classes", "dropout",
@@ -65,7 +64,9 @@ def save_checkpoint(path, model: ModelParameters,
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    # os.open with 0o666 lets the umask set the mode (mkstemp's is 0600)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -113,6 +114,12 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
     if not np.isfinite([stats.minimum, stats.maximum]).all():
         raise CheckpointError(f"{path}: non-finite normalization stats")
+    widths = (config.features, config.classes)
+    if widths != (FEATURE_COUNT, len(CongestionLevel)):
+        raise CheckpointError(f"{path}: checkpoint (features, classes) "
+                              f"{widths} does not fit the telemetry schema")
+    if stats.minimum.shape[0] != config.features:
+        raise CheckpointError(f"{path}: normalization width does not match features")
     # every value takes at least one character: refuse a header that declares
     # more layers or parameters than the file could hold before allocating
     size = sum(map(len, lines))
@@ -132,38 +139,28 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
             raise CheckpointError(f"{path}: repeated tensor {parts[1]}")
         try:
             name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-            idx += 1
-            if cols == 0:
-                tensors[name] = np.array([float(v) for v in lines[idx].split()])
-                idx += 1
-            else:
-                data = []
-                for _ in range(rows):
-                    data.append([float(v) for v in lines[idx].split()])
-                    idx += 1
-                tensors[name] = np.array(data)
+            data = [[float(v) for v in lines[idx + 1 + k].split()]
+                    for k in range(rows if cols else 1)]  # a vector: one line
+            tensors[name] = np.array(data if cols else data[0])
+            idx += 1 + len(data)
         except (IndexError, ValueError) as exc:
             raise CheckpointError(
                 f"{path}: truncated or malformed tensor {parts[1]} ({exc})"
             ) from None
 
-    # reassemble in canonical order; fail loudly on missing, mismatched or
-    # unexpected tensors
-    template = unflatten_parameters(config, np.zeros(parameter_count(config)))
-    flat = []
-    for name, arr in parameter_items(template):
+    # fill the model in canonical order; fail loudly on missing, mismatched
+    # or unexpected tensors
+    model = zero_parameters(config)
+    for name, arr in parameter_items(model):
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name}")
-        if tensors[name].shape != arr.shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {tensors[name].shape}, "
-                f"expected {arr.shape}")
-        if not np.isfinite(tensors[name]).all():
+        value = tensors.pop(name)
+        if value.shape != arr.shape:
+            raise CheckpointError(f"{path}: tensor {name} has shape "
+                                  f"{value.shape}, expected {arr.shape}")
+        if not np.isfinite(value).all():
             raise CheckpointError(f"{path}: tensor {name} has non-finite values")
-        flat.append(tensors.pop(name).ravel())
+        arr[...] = value
     if tensors:
         raise CheckpointError(f"{path}: unexpected tensor {next(iter(tensors))}")
-    model = unflatten_parameters(config, np.concatenate(flat))
-    if stats.minimum.shape[0] != config.features:
-        raise CheckpointError(f"{path}: normalization width does not match features")
     return model, stats

@@ -8,7 +8,8 @@ config (policy holds only the threshold); any leaf can be overridden with
 keys the commands derive (sim.scenario, sim.seed, training.seed,
 model.features, model.classes) are refused; any ConfigError surfaces before
 a command writes output.  compare likewise refuses a report.json field of
-the wrong type or a non-finite number.  Every command is deterministic under
+the wrong type or a non-finite number, and a pair of reports whose scenario,
+seed or config digest differ.  Every command is deterministic under
 the master seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 acceptance-check failure
@@ -29,7 +30,7 @@ from . import experiment, metrics, telemetry, training
 from .controller import PolicyConfig, write_decision_log
 from .nn import ModelConfig
 from .simulator import LoadScenario, SimConfig, SimulationError
-from .telemetry import CongestionLevel, TelemetryError, check_fields
+from .telemetry import TelemetryError, check_fields
 from .training import TrainingConfig
 
 
@@ -104,16 +105,6 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
         raise ConfigError(f"bad config: {exc}") from None
 
 
-def load_model(path: str):
-    """A checkpoint whose (features, classes) are the telemetry schema's."""
-    model, stats = ckpt.load_checkpoint(path)
-    widths = (model.config.features, model.config.classes)
-    if widths != (telemetry.FEATURE_COUNT, len(CongestionLevel)):
-        raise ConfigError(f"{path}: checkpoint (features, classes) {widths} "
-                          "does not fit the telemetry schema")
-    return model, stats
-
-
 def cmd_gen_data(args) -> int:
     config = load_config(args.config, args.set)
     out_dir = Path(args.out_dir)
@@ -170,12 +161,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config, args.set)
-    model, stats = load_model(args.checkpoint)
+    model, stats = ckpt.load_checkpoint(args.checkpoint)
     series_list = [telemetry.ingest_csv(p) for p in _collect_csv_paths(args.data)]
-    samples = []
-    for series in series_list:
-        if len(series) >= config.window + 1:
-            samples.extend(telemetry.window_sequences(series, stats, config.window))
+    samples = telemetry.normalized(
+        telemetry.raw_windows(series_list, config.window), stats)
     if not samples:
         raise ConfigError("no usable windows in the provided data")
     result = training.evaluate(model, samples)
@@ -191,7 +180,7 @@ def cmd_run_experiment(args) -> int:
     if args.predictor == "lstm":
         if args.checkpoint is None:
             raise ConfigError("predictor lstm requires --checkpoint")
-        model, stats = load_model(args.checkpoint)
+        model, stats = ckpt.load_checkpoint(args.checkpoint)
 
     scenarios = ([LoadScenario(args.scenario)] if args.scenario
                  else list(LoadScenario))
@@ -238,9 +227,10 @@ def _load_report(path: str) -> metrics.ExperimentReport:
         data = json.loads(p.read_text())
         summary = metrics.RunSummary(**data["summary"])
         check_fields(summary, ConfigError)
-        if type(data["seed"]) is not int or not all(
-                isinstance(data[key], str) for key in ("scenario", "predictor")):
-            raise ConfigError("seed must be an int, scenario and predictor str")
+        if type(data["seed"]) is not int or not all(isinstance(data[key], str)
+                for key in ("scenario", "predictor", "config_digest")):
+            raise ConfigError("seed must be an int, scenario, predictor and "
+                              "config_digest str")
         return metrics.ExperimentReport(
             scenario=data["scenario"], predictor=data["predictor"],
             seed=data["seed"], config_digest=data["config_digest"],

@@ -47,18 +47,16 @@ def train_pipeline(series_list: list[list[telemetry.TelemetryRecord]],
     """window -> split -> fit stats on the train split -> normalize -> train.
 
     Raw windows are split before any normalization, so the min/max stats
-    are fitted on the rows of the training windows only.  Series shorter
-    than window+1 records are skipped.
+    are fitted on the rows of the training windows only.
     """
     raw = telemetry.split_dataset(
-        [sample for series in series_list if len(series) > window
-         for sample in telemetry.raw_windows(series, window)],
+        telemetry.raw_windows(series_list, window),
         seed=training_config.seed, chronological=chronological_split)
     stats = telemetry.fit_normalization(
         np.concatenate([sample.inputs for sample in raw.train]))
-    split = telemetry.DatasetSplit(*(
-        [telemetry.SequenceSample(stats.transform(s.inputs), s.target)
-         for s in part] for part in (raw.train, raw.validation, raw.test)))
+    split = telemetry.DatasetSplit(*(telemetry.normalized(part, stats)
+                                     for part in (raw.train, raw.validation,
+                                                  raw.test)))
 
     model = nn.init_parameters(
         model_config, seed=derive_seed(training_config.seed, "init"))

@@ -191,12 +191,13 @@ class PairedComparison:
 
 def compare(baseline: ExperimentReport, other: ExperimentReport
             ) -> PairedComparison:
-    """Paired deltas between two runs of the same scenario and seed."""
-    if baseline.scenario != other.scenario or baseline.seed != other.seed:
-        raise ValueError(
-            f"cannot pair reports: scenario/seed mismatch "
-            f"({baseline.scenario}/{baseline.seed} vs "
-            f"{other.scenario}/{other.seed})")
+    """Paired deltas between two runs of the same scenario, seed and
+    simulator config, i.e. of the same traffic."""
+    keys = [(r.scenario, r.seed, r.config_digest) for r in (baseline, other)]
+    if keys[0] != keys[1]:
+        raise ValueError("cannot pair reports: scenario/seed/config digest "
+                         "mismatch ({}/{}/{} vs {}/{}/{})".format(
+                             *keys[0], *keys[1]))
     return PairedComparison(
         scenario=baseline.scenario,
         seed=baseline.seed,

@@ -239,27 +239,31 @@ def forward(model: ModelParameters, sample_inputs: np.ndarray, train: bool = Fal
     return probs[0], trace
 
 
-def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
-    """Glorot-uniform weights, zero biases except forget-gate biases at 1.0."""
-    rng = np.random.default_rng(seed)
+def zero_parameters(config: ModelConfig) -> ModelParameters:
+    """The one builder of a model's tensors, zero-filled; init_parameters,
+    unflatten_parameters and the checkpoint loader fill it through
+    parameter_items."""
     hid = config.hidden_units
-
-    def glorot(rows, cols):
-        limit = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-limit, limit, size=(rows, cols))
-
-    layers = []
-    for layer in range(config.num_layers):
-        din = config.layer_input_width(layer)
-        layers.append(LstmLayerParameters(
-            *(glorot(hid, hid + din) for _ in GATES),
-            b_i=np.zeros(hid), b_f=np.ones(hid), b_c=np.zeros(hid),
-            b_o=np.zeros(hid)))
-    dense = DenseParameters(
-        w_out=glorot(config.classes, hid),
-        b_out=np.zeros(config.classes),
-    )
+    layers = [LstmLayerParameters(
+        *np.zeros((4, hid, hid + config.layer_input_width(layer))),
+        *np.zeros((4, hid))) for layer in range(config.num_layers)]
+    dense = DenseParameters(w_out=np.zeros((config.classes, hid)),
+                            b_out=np.zeros(config.classes))
     return ModelParameters(config=config, layers=layers, dense=dense)
+
+
+def init_parameters(config: ModelConfig, seed: int = 0) -> ModelParameters:
+    """Glorot-uniform weights, drawn in parameter_items order; zero biases
+    except forget-gate biases at 1.0."""
+    rng = np.random.default_rng(seed)
+    model = zero_parameters(config)
+    for _, arr in parameter_items(model):
+        if arr.ndim == 2:
+            limit = np.sqrt(6.0 / sum(arr.shape))
+            arr[...] = rng.uniform(-limit, limit, size=arr.shape)
+    for lp in model.layers:
+        lp.b_f = 1.0
+    return model
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -294,21 +298,9 @@ def unflatten_parameters(config: ModelConfig, theta: np.ndarray) -> ModelParamet
     if theta.size != parameter_count(config):
         raise ValueError(f"parameter vector length {theta.size} != "
                          f"{parameter_count(config)}")
-    hid = config.hidden_units
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        arr = theta[pos:pos + size].reshape(shape).copy()
-        pos += size
-        return arr
-
-    layers = []
-    for layer in range(config.num_layers):
-        din = config.layer_input_width(layer)
-        w, b = take((4, hid, hid + din)), take((4, hid))
-        layers.append(LstmLayerParameters(*w, *b))
-    dense = DenseParameters(w_out=take((config.classes, hid)),
-                            b_out=take((config.classes,)))
-    return ModelParameters(config=config, layers=layers, dense=dense)
+    model = zero_parameters(config)
+    items = [arr for _, arr in parameter_items(model)]
+    chunks = np.split(theta, np.cumsum([arr.size for arr in items])[:-1])
+    for arr, chunk in zip(items, chunks):
+        arr[...] = chunk.reshape(arr.shape)
+    return model

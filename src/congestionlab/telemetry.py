@@ -54,7 +54,8 @@ def _has_type(value, hint) -> bool:
 
 def check_fields(obj, error, positive=(), non_negative=(), fraction=()):
     """Each config dataclass checks itself with this: raise `error` unless every
-    field has its annotated type and each named one, unless None, is in range."""
+    field has its annotated type and each named one, unless None, is in range.
+    An int in a float field is stored as a float."""
     for name, hint in _field_types(type(obj)).items():
         value = getattr(obj, name)
         rule = (getattr(hint, "__name__", hint) if not _has_type(value, hint)
@@ -65,6 +66,8 @@ def check_fields(obj, error, positive=(), non_negative=(), fraction=()):
                 else None)
         if rule is not None:
             raise error(f"{type(obj).__name__}.{name} must be {rule}, got {value!r}")
+        if type(value) is int and float in (hint, *typing.get_args(hint)):
+            setattr(obj, name, float(value))  # 40 and 40.0: one config digest
 
 
 class CongestionLevel(IntEnum):
@@ -233,25 +236,23 @@ class SequenceSample:
     target: np.ndarray
 
 
-def raw_windows(records, window: int = 10) -> list[SequenceSample]:
-    """Slide a stride-1 window over the raw feature rows; the sample at
-    position t covers records [t-window, t) and is labeled with record t's
-    congestion level."""
-    if len(records) < window + 1:
-        raise TelemetryError(
-            f"series length {len(records)} too short for window {window} "
-            "(need at least window+1 records)")
-    mat = records_to_matrix(records)
-    return [SequenceSample(inputs=mat[t - window:t],
-                           target=one_hot(records[t].label))
-            for t in range(window, len(records))]
+def raw_windows(series_list, window: int = 10) -> list[SequenceSample]:
+    """Slide a stride-1 window over each series' raw feature rows; the sample
+    at position t covers records [t-window, t) and is labeled with record t's
+    congestion level, so a series of at most `window` records yields none."""
+    samples = []
+    for records in series_list:
+        mat = records_to_matrix(records)
+        samples += [SequenceSample(inputs=mat[t - window:t],
+                                   target=one_hot(records[t].label))
+                    for t in range(window, len(records))]
+    return samples
 
 
-def window_sequences(records, stats: NormalizationStats,
-                     window: int = 10) -> list[SequenceSample]:
-    """raw_windows normalized with `stats`."""
+def normalized(samples, stats: NormalizationStats) -> list[SequenceSample]:
+    """`samples` with their inputs min-max normalized by `stats`."""
     return [SequenceSample(stats.transform(s.inputs), s.target)
-            for s in raw_windows(records, window)]
+            for s in samples]
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Checkpoint format: exact round-trip, validation, atomic writes."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,15 @@ class TestRoundTrip:
                                       flatten_parameters(other))
         assert list(tmp_path.iterdir()) == [path]  # no stray temp files
 
+    def test_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        old = os.umask(0o022)
+        try:
+            save_checkpoint(path, small_model(), stats5())
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
 
 class TestValidation:
     @pytest.mark.parametrize("edit, match", [
@@ -106,6 +118,14 @@ class TestValidation:
         lines[idx] = " ".join(lines[idx].split()[:2])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="shape"):
+            load_checkpoint(path)
+
+    def test_negative_row_count_refused(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(path, small_model(), stats5())
+        path.write_text(path.read_text().replace("tensor dense.w_out 3 3",
+                                                 "tensor dense.w_out -1 3"))
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     def test_bad_header(self, tmp_path):
@@ -174,4 +194,17 @@ class TestValidation:
         path.write_text(path.read_text().replace("hidden 3\n",
                                                  "hidden 100000\n"))
         with pytest.raises(CheckpointError, match="more parameters"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("features, classes", [(3, 3), (5, 4)])
+    def test_off_telemetry_schema_refused(self, tmp_path, features, classes):
+        path = tmp_path / "ck.txt"
+        model = init_parameters(ModelConfig(hidden_units=2, num_layers=1,
+                                            features=features,
+                                            classes=classes), seed=0)
+        save_checkpoint(path, model, NormalizationStats([0.0] * features,
+                                                        [1.0] * features))
+        with pytest.raises(CheckpointError, match=(
+                rf"checkpoint \(features, classes\) \({features}, {classes}\) "
+                "does not fit the telemetry schema")):
             load_checkpoint(path)

@@ -127,7 +127,7 @@ class TestCompare:
     # read as 1.0, seed 1.0 pairing with seed 1, a non-str name) and exited 0
     @pytest.mark.parametrize("key, value", [
         ("loss_rate", float("nan")), ("mean_delay_ms", True), ("seed", 7.0),
-        ("scenario", 1), ("predictor", None)])
+        ("scenario", 1), ("predictor", None), ("config_digest", 0)])
     def test_bad_report_value_is_error(self, tmp_path, capsys, key, value):
         path = tmp_path / "a.json"
         write_report(path, "none", 0.25)
@@ -238,6 +238,34 @@ class TestRunExperimentCompareReplay:
         other.write_text(json.dumps(report))
         code = main(["compare", str(none_dir / "report.json"), str(other)])
         assert code == 1
+
+    def test_compare_rejects_differing_config(self, tmp_path, capsys):
+        # same scenario and seed, but a smaller buffer: different traffic
+        reports = []
+        for name, extra in (("a", []),
+                            ("b", ["--set", "sim.buffer_packets=10"])):
+            assert main(["run-experiment", "--predictor", "fls", "--scenario",
+                         "high", "--out-dir", str(tmp_path / name)]
+                        + FAST_SIM + extra) == 0
+            reports.append(str(tmp_path / name / "high_fls" / "report.json"))
+        capsys.readouterr()
+        assert main(["compare"] + reports) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "config digest mismatch" in out.err
+
+    def test_int_and_float_values_share_a_digest(self, tmp_path, capsys):
+        reports = []
+        for name, duration in (("int", "40"), ("float", "40.0")):
+            assert main(["run-experiment", "--predictor", "none",
+                         "--scenario", "high", "--out-dir",
+                         str(tmp_path / name), "--set",
+                         f"sim.duration_s={duration}", "--set",
+                         "sim.telemetry_interval_s=1"]) == 0
+            reports.append(tmp_path / name / "high_none" / "report.json")
+        digests = [json.loads(r.read_text())["config_digest"] for r in reports]
+        assert digests[0] == digests[1]
+        assert main(["compare"] + [str(r) for r in reports]) == 0
 
     def test_replay_consistent_log(self, pipeline, capsys):
         fls_dir = self.run_predictor(pipeline, "fls")

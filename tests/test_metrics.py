@@ -199,6 +199,11 @@ class TestCompare:
             compare(make_report(scenario="high"),
                     make_report(scenario="low"))
 
+    def test_mismatched_config_digest_rejected(self):
+        other = dataclasses.replace(make_report(), config_digest="0" * 16)
+        with pytest.raises(ValueError, match="config digest mismatch"):
+            compare(make_report(), other)
+
 
 class TestReportText:
     def test_report_renders(self):

@@ -23,6 +23,15 @@ class TestConfig:
         assert LoadScenario.MEDIUM.load_multiplier == 0.8
         assert LoadScenario.HIGH.load_multiplier == 1.25
 
+    def test_int_in_float_field_stored_as_float(self):
+        # so that 40 and 40.0 give one config_digest
+        config = SimConfig(duration_s=40, load_multiplier=2)
+        assert type(config.duration_s) is float
+        assert type(config.load_multiplier) is float
+        assert type(config.device_count) is int
+        assert dataclasses.asdict(config) == dataclasses.asdict(
+            SimConfig(duration_s=40.0, load_multiplier=2.0))
+
     def test_interval_must_divide_duration(self):
         with pytest.raises(SimulationError, match="divide"):
             SimConfig(duration_s=300.0, telemetry_interval_s=7.0)

@@ -6,9 +6,10 @@ import pytest
 from congestionlab import telemetry
 from congestionlab.telemetry import (CongestionLevel, NormalizationStats,
                                      TelemetryError, TelemetryRecord,
-                                     fit_normalization, ingest_csv, one_hot,
+                                     fit_normalization, ingest_csv,
+                                     normalized, one_hot, raw_windows,
                                      records_to_matrix, split_dataset,
-                                     window_sequences, write_csv)
+                                     write_csv)
 
 
 def make_record(ts, occ=0.35, label=CongestionLevel.LOW, **kw):
@@ -150,38 +151,44 @@ class TestOneHot:
             assert one_hot(level).sum() == 1.0
 
 
-class TestWindowing:
-    def identity_stats(self):
-        return NormalizationStats([0.0] * 5, [1.0] * 5)
+def identity_windows(series_list, window=10):
+    return normalized(raw_windows(series_list, window),
+                      NormalizationStats([0.0] * 5, [1.0] * 5))
 
+
+class TestWindowing:
     def test_length_12_gives_2_samples(self):
-        samples = window_sequences(make_series(12), self.identity_stats(), 10)
-        assert len(samples) == 2
+        assert len(identity_windows([make_series(12)])) == 2
 
     def test_length_10_is_too_short(self):
-        with pytest.raises(TelemetryError, match="too short"):
-            window_sequences(make_series(10), self.identity_stats(), 10)
+        assert identity_windows([make_series(10)]) == []
 
     def test_length_11_target_is_record_10(self):
         series = make_series(11)
         series[10] = make_record(series[10].timestamp_s, occ=0.9,
                                  label=CongestionLevel.HIGH)
-        samples = window_sequences(series, self.identity_stats(), 10)
+        samples = identity_windows([series])
         assert len(samples) == 1
         np.testing.assert_array_equal(samples[0].target, [0, 0, 1])
 
     def test_window_covers_preceding_records(self):
         series = make_series(12)
-        samples = window_sequences(series, self.identity_stats(), 10)
+        samples = identity_windows([series])
         mat = telemetry.records_to_matrix(series)
         np.testing.assert_allclose(samples[0].inputs, np.clip(mat[0:10], 0, 1))
         np.testing.assert_allclose(samples[1].inputs, np.clip(mat[1:11], 0, 1))
 
+    def test_series_cut_in_order_short_ones_skipped(self):
+        a, b = make_series(12), make_series(13, start=100.0)
+        samples = identity_windows([a, make_series(5), b])
+        assert len(samples) == 2 + 3
+        mat = telemetry.records_to_matrix(b)
+        np.testing.assert_allclose(samples[2].inputs, np.clip(mat[0:10], 0, 1))
+
 
 class TestSplit:
     def make_samples(self, n):
-        return window_sequences(make_series(n + 10),
-                                NormalizationStats([0.0] * 5, [1.0] * 5), 10)
+        return identity_windows([make_series(n + 10)])
 
     def test_100_samples_80_10_10(self):
         split = split_dataset(self.make_samples(100), seed=1)
