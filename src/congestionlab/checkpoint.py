@@ -84,8 +84,8 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
     try:
         with path.open("r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: not UTF-8 text ({exc})") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"{path}: cannot read ({exc})") from None
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: not a congestionlab checkpoint")
 

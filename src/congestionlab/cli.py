@@ -67,13 +67,10 @@ SECTIONS = {"sim": (SimConfig, {"scenario", "seed"}),
 def load_config(path: str | None, overrides: list[str]) -> RunConfig:
     config = {}
     if path is not None:
-        file_path = Path(path)
-        if not file_path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            config = json.loads(file_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+            config = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: JSON or UTF-8
+            raise ConfigError(f"{path}: cannot read ({exc})") from None
         if not isinstance(config, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
     for override in overrides:
@@ -220,11 +217,8 @@ def cmd_run_experiment(args) -> int:
 
 def _load_report(path: str) -> metrics.ExperimentReport:
     """An ExperimentReport (summary only) from a run's report.json."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"report not found: {path}")
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(Path(path).read_text())
         summary = metrics.RunSummary(**data["summary"])
         check_fields(summary, ConfigError)
         if type(data["seed"]) is not int or not all(isinstance(data[key], str)
@@ -235,8 +229,8 @@ def _load_report(path: str) -> metrics.ExperimentReport:
             scenario=data["scenario"], predictor=data["predictor"],
             seed=data["seed"], config_digest=data["config_digest"],
             intervals=[], summary=summary)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: not a run report ({exc!r})") from None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: cannot read report ({exc!r})") from None
 
 
 def cmd_compare(args) -> int:
@@ -258,11 +252,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    path = Path(args.log)
-    if not path.exists():
-        raise ConfigError(f"decision log not found: {args.log}")
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with open(args.log, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             required = {"score", "action", "threshold"}
             if reader.fieldnames is None \
@@ -270,8 +261,8 @@ def cmd_replay(args) -> int:
                 raise ConfigError(f"{args.log}: missing columns "
                                   f"{sorted(required)} in decision log")
             rows = list(reader)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"{args.log}: not a UTF-8 CSV file ({exc})") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{args.log}: cannot read ({exc})") from None
     raw_threshold = rows[0]["threshold"] if rows else "0.5"
     try:
         # the same (0,1) range the run's PolicyConfig enforced
@@ -349,7 +340,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, TelemetryError, SimulationError,
-            ckpt.CheckpointError) as exc:
+            ckpt.CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except training.TrainingDivergedError as exc:

@@ -90,7 +90,6 @@ class Controller:
                  policy: PolicyConfig | None = None):
         self.policy = policy or PolicyConfig()
         self.window: deque[TelemetryRecord] = deque(maxlen=window_length)
-        self.previous_score: float | None = None
         self.last_score: float | None = None
 
     def control_step(self, record: TelemetryRecord) -> ControlAction:
@@ -99,8 +98,7 @@ class Controller:
             self.last_score = None
             return ControlAction.NONE
         score = round(self.score_window(self.window), SCORE_DECIMALS)
-        action = decide(score, self.previous_score, self.policy.threshold)
-        self.previous_score = score
+        action = decide(score, self.last_score, self.policy.threshold)
         self.last_score = score
         return action
 

@@ -146,8 +146,8 @@ def ingest_csv(path) -> list[TelemetryRecord]:
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise TelemetryError(f"{path}: not a UTF-8 CSV file ({exc})") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise TelemetryError(f"{path}: cannot read ({exc})") from None
     if not rows:
         raise TelemetryError(f"{path}: empty file, expected header")
     header = rows[0]

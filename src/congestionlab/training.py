@@ -17,10 +17,11 @@ import numpy as np
 
 from . import nn
 from .telemetry import DatasetSplit, SequenceSample, check_fields
-from .nn import (ForwardTrace, ModelParameters, forward_batch,
-                 parameter_items, predict_class)
+from .nn import ForwardTrace, ModelParameters, forward_batch, parameter_items
 
 CE_FLOOR = 1e-12
+# Adam's moment decays and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -60,8 +61,11 @@ class TrainingReport:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
-    stopping_epoch: int = 0
     best_epoch: int = 0
+
+    @property
+    def stopping_epoch(self) -> int:
+        return len(self.train_loss)
 
     def to_text(self) -> str:
         lines = ["epoch,train_loss,val_loss,val_accuracy"]
@@ -162,12 +166,15 @@ def flatten_gradients(model: ModelParameters,
 
 
 def batch_loss(model: ModelParameters, inputs: np.ndarray, targets: np.ndarray,
-               train: bool = False,
-               dropout_masks: list[np.ndarray] | None = None) -> float:
-    """Mean cross-entropy over a (B, T, F) batch."""
-    probs, _ = forward_batch(model, inputs, train=train,
+               dropout_masks: list[np.ndarray] | None = None
+               ) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over a (B, T, F) batch, and the probabilities.
+
+    Runs in train mode, through the given masks, exactly when
+    `dropout_masks` is given; the forward trace is dropped on return."""
+    probs, _ = forward_batch(model, inputs, train=dropout_masks is not None,
                              dropout_masks=dropout_masks)
-    return cross_entropy(probs, targets) / len(inputs)
+    return cross_entropy(probs, targets) / len(inputs), probs
 
 
 def finite_difference_gradient(model: ModelParameters, sample_inputs: np.ndarray,
@@ -181,15 +188,13 @@ def finite_difference_gradient(model: ModelParameters, sample_inputs: np.ndarray
         raise IndexError(f"coordinate {index} out of range")
     inputs = np.asarray(sample_inputs, dtype=float)[None]
     tgt = np.asarray(target, dtype=float)[None]
-    train = dropout_masks is not None
 
     losses = []
     for delta in (eps, -eps):
         probe = theta.copy()
         probe[index] += delta
         probed = nn.unflatten_parameters(model.config, probe)
-        losses.append(batch_loss(probed, inputs, tgt, train=train,
-                                 dropout_masks=dropout_masks))
+        losses.append(batch_loss(probed, inputs, tgt, dropout_masks)[0])
     return (losses[0] - losses[1]) / (2.0 * eps)
 
 
@@ -205,8 +210,7 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def adam_step(model: ModelParameters, grads: dict[str, np.ndarray],
-              state: AdamState, lr: float = 0.001, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8
+              state: AdamState, lr: float = 0.001
               ) -> tuple[ModelParameters, AdamState]:
     """Standard bias-corrected Adam update; parameters updated in place.
 
@@ -218,6 +222,7 @@ def adam_step(model: ModelParameters, grads: dict[str, np.ndarray],
         raise TrainingDivergedError(f"non-finite gradient in {name}")
     state.t += 1
     t, m, v = state.t, state.m, state.v
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     # in place, each element gets the IEEE operations of
     # m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g ** 2,
     # step = lr * m_hat / (sqrt(v_hat) + eps); only commuted operands differ
@@ -260,6 +265,19 @@ class EvaluationResult:
                 f"recall {np.array2string(self.recall, precision=4)}\n"
                 f"confusion\n{self.confusion}")
 
+    @classmethod
+    def of(cls, probs: np.ndarray, targets: np.ndarray) -> "EvaluationResult":
+        """Score (N, C) class probabilities against one-hot targets; ties go
+        to the higher class, as in predict_class."""
+        classes = probs.shape[1]
+        predicted = classes - 1 - np.argmax(probs[:, ::-1], axis=1)
+        confusion = np.bincount(np.argmax(targets, axis=1) * classes + predicted,
+                                minlength=classes ** 2).reshape(classes, classes)
+        diag = np.diag(confusion)  # 0 for a class never predicted or never true
+        return cls(accuracy=int(diag.sum()) / len(probs), confusion=confusion,
+                   precision=diag / np.maximum(confusion.sum(axis=0), 1),
+                   recall=diag / np.maximum(confusion.sum(axis=1), 1))
+
 
 def evaluate(model: ModelParameters, samples: list[SequenceSample]
              ) -> EvaluationResult:
@@ -268,19 +286,7 @@ def evaluate(model: ModelParameters, samples: list[SequenceSample]
         raise ValueError("cannot evaluate on an empty sample set")
     inputs, targets = stack_samples(samples)
     probs, _ = forward_batch(model, inputs, train=False)
-    classes = model.config.classes
-    confusion = np.zeros((classes, classes), dtype=int)
-    for p, y in zip(probs, targets):
-        confusion[int(np.argmax(y)), int(predict_class(p))] += 1
-    correct = int(np.trace(confusion))
-    col = confusion.sum(axis=0)
-    row = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        precision = np.where(col > 0, np.diag(confusion) / np.maximum(col, 1), 0.0)
-        recall = np.where(row > 0, np.diag(confusion) / np.maximum(row, 1), 0.0)
-    return EvaluationResult(accuracy=correct / len(samples),
-                            confusion=confusion,
-                            precision=precision, recall=recall)
+    return EvaluationResult.of(probs, targets)
 
 
 def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
@@ -316,14 +322,13 @@ def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
             clip_gradients(grads, config.clip_norm)
             adam_step(model, grads, state, lr=config.learning_rate)
 
-        val_loss = batch_loss(model, val_inputs, val_targets, train=False)
+        val_loss, val_probs = batch_loss(model, val_inputs, val_targets)
         if not math.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
-        val_acc = evaluate(model, splits.validation).accuracy
         report.train_loss.append(epoch_loss / n)
         report.val_loss.append(val_loss)
-        report.val_accuracy.append(val_acc)
-        report.stopping_epoch = epoch
+        report.val_accuracy.append(
+            EvaluationResult.of(val_probs, val_targets).accuracy)
 
         if val_loss < best_loss:
             best_loss = val_loss

@@ -89,6 +89,8 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "missing.txt")
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_checkpoint(tmp_path)  # a directory
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "ck.txt"

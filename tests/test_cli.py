@@ -344,6 +344,25 @@ class TestFailClosedInputs:
         assert out.out == ""
         assert "bad.bin" in out.err
 
+    # each of these once raised a raw IsADirectoryError or FileExistsError
+    @pytest.mark.parametrize("argv", [
+        ["replay", "{dir}"],
+        ["compare", "{dir}", "{dir}"],
+        ["evaluate", "--checkpoint", "{dir}", "--data", "{dir}"],
+        ["gen-data", "--config", "{dir}", "--out-dir", "{dir}/out"],
+        ["gen-data", "--out-dir", "{file}"],
+    ], ids=["replay", "compare", "evaluate", "gen-data-config",
+            "gen-data-out-dir"])
+    def test_unreadable_path_is_error(self, tmp_path, capsys, argv):
+        file = tmp_path / "file.txt"
+        file.write_text("x\n")
+        argv = [a.format(dir=tmp_path, file=file) for a in argv]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+        assert "Traceback" not in out.err
+
     def test_config_top_level_must_be_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")

@@ -94,6 +94,8 @@ class TestRecord:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(TelemetryError, match="not found"):
             ingest_csv(tmp_path / "missing.csv")
+        with pytest.raises(TelemetryError, match="cannot read"):
+            ingest_csv(tmp_path)  # a directory
 
     def test_unknown_label_rejected(self):
         with pytest.raises(TelemetryError, match="unknown congestion label"):

@@ -282,7 +282,9 @@ class TestClipAndAdam:
         assert state.t == 1
 
     def test_adam_bits_match_per_tensor_reference(self):
-        lr, beta1, beta2, eps = 0.001, 0.9, 0.999, 1e-8
+        lr = 0.001
+        beta1, beta2 = training.ADAM_BETA1, training.ADAM_BETA2
+        eps = training.ADAM_EPS
         model = init_parameters(ModelConfig(), seed=0)
         reference = model.copy()
         ref_m = {name: np.zeros_like(arr)
@@ -292,7 +294,7 @@ class TestClipAndAdam:
         rng = np.random.default_rng(1)
         for t in range(1, 4):
             grads = self.random_grads(model, rng)
-            adam_step(model, grads, state, lr, beta1, beta2, eps)
+            adam_step(model, grads, state, lr)
             for name, param in parameter_items(reference):
                 g = grads[name]
                 ref_m[name] = beta1 * ref_m[name] + (1.0 - beta1) * g
@@ -373,8 +375,24 @@ class TestTrainLoop:
         cfg = TrainingConfig(max_epochs=30, batch_size=8, patience=30, seed=3)
         best, report = train(model, split, cfg)
         xs, ys = training.stack_samples(split.validation)
-        assert batch_loss(best, xs, ys) == pytest.approx(
+        assert batch_loss(best, xs, ys)[0] == pytest.approx(
             report.val_loss[report.best_epoch - 1], abs=1e-12)
+
+    def test_one_validation_forward_per_epoch(self, monkeypatch):
+        split = toy_split(20)
+        val_inputs, _ = training.stack_samples(split.validation)
+        calls = []
+
+        def counting(model, inputs, *args, **kwargs):
+            calls.append(np.array_equal(inputs, val_inputs))
+            return forward_batch(model, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_batch", counting)
+        model = init_parameters(self.small_config(), seed=2)
+        cfg = TrainingConfig(max_epochs=3, batch_size=8, patience=3, seed=3)
+        _, report = train(model, split, cfg)
+        assert report.stopping_epoch == cfg.max_epochs
+        assert sum(calls) == cfg.max_epochs
 
     def test_empty_split_rejected(self):
         model = init_parameters(self.small_config(), seed=0)
@@ -405,6 +423,9 @@ class TestEvaluate:
         high_freq = np.mean([np.argmax(s.target) == 2 for s in split.train])
         assert result.accuracy == pytest.approx(high_freq)
         assert result.confusion[:, :2].sum() == 0
+        # low and medium are never predicted: precision and recall read 0
+        np.testing.assert_array_equal(result.precision[:2], 0.0)
+        np.testing.assert_array_equal(result.recall[:2], 0.0)
 
     def test_confusion_sums_to_sample_count(self):
         model = init_parameters(ModelConfig(hidden_units=4, num_layers=1,
