@@ -21,7 +21,7 @@ for scenario in LoadScenario:
     cfg = dataclasses.replace(base, scenario=scenario)
     result = run(cfg)
     loss = result.counters["dropped"] / max(result.counters["injected"], 1)
-    delays = [r.delay_ms for r in result.telemetry if not r.empty_interval]
+    delays = [r.delay_ms for r in result.telemetry if r.throughput_kbps > 0]
     kbps = np.mean([r.throughput_kbps for r in result.telemetry])
     labels = {}
     for rec in result.telemetry:

@@ -9,7 +9,7 @@ against a fuzzy-logic baseline.
 from .telemetry import (CongestionLevel, DatasetSplit, NormalizationStats,
                         SequenceSample, TelemetryRecord)
 from .controller import ControlAction, PolicyConfig, congestion_score, decide
-from .nn import ModelConfig, forward, init_parameters, predict_class
+from .nn import ModelConfig, forward, init_parameters
 from .simulator import LoadScenario, SimConfig
 from .training import TrainingConfig, evaluate, train
 
@@ -19,6 +19,5 @@ __all__ = [
     "CongestionLevel", "ControlAction", "DatasetSplit", "LoadScenario",
     "ModelConfig", "NormalizationStats", "PolicyConfig", "SequenceSample",
     "SimConfig", "TelemetryRecord", "TrainingConfig", "congestion_score",
-    "decide", "evaluate", "forward", "init_parameters", "predict_class",
-    "train",
+    "decide", "evaluate", "forward", "init_parameters", "train",
 ]

@@ -10,8 +10,11 @@ Layout (UTF-8, line oriented, documented in the README):
     <one line of %.17g values per row>
 
 Tensor order follows nn.parameter_items.  %.17g round-trips float64 exactly.
-A repeated or unknown header key or tensor name is refused, as is a missing
-tensor and a model whose (features, classes) are not the telemetry schema's.
+The loader reads the file in the order the writer puts it, in one pass: a
+line other than the one expected at its place (so a missing, repeated,
+unknown or out-of-order header key or tensor, or anything after the last
+tensor) is refused, naming what was expected and what was found.  So is a
+model whose (features, classes) are not the telemetry schema's.
 Writes are atomic (temp file + rename), so a failed write never leaves a
 partial checkpoint behind; the file's mode follows the umask.
 """
@@ -19,6 +22,7 @@ partial checkpoint behind; the file's mode follows the umask.
 from __future__ import annotations
 
 import os
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,7 @@ from .telemetry import FEATURE_COUNT, CongestionLevel, NormalizationStats
 MAGIC = "congestionlab-checkpoint v1"
 HEADER_KEYS = ("layers", "hidden", "features", "classes", "dropout",
                "norm_min", "norm_max")
+END = "\n"  # the loader's mark past the last line; no line read equals it
 
 
 class CheckpointError(ValueError):
@@ -40,27 +45,26 @@ def _fmt_row(values) -> str:
     return " ".join(f"{v:.17g}" for v in values)
 
 
+def _tensor_line(name: str, arr: np.ndarray) -> str:
+    """The line that opens a tensor: `tensor <name> <rows> <cols|0>`."""
+    return f"tensor {name} {arr.shape[0]} {arr.shape[1] if arr.ndim == 2 else 0}"
+
+
+def _shown(text: str) -> str:
+    return "end of file" if text == END else reprlib.repr(text)
+
+
 def save_checkpoint(path, model: ModelParameters,
                     stats: NormalizationStats) -> None:
     cfg = model.config
-    lines = [
-        MAGIC,
-        f"layers {cfg.num_layers}",
-        f"hidden {cfg.hidden_units}",
-        f"features {cfg.features}",
-        f"classes {cfg.classes}",
-        f"dropout {cfg.dropout_rate:.17g}",
-        f"norm_min {_fmt_row(stats.minimum)}",
-        f"norm_max {_fmt_row(stats.maximum)}",
-    ]
+    header = (cfg.num_layers, cfg.hidden_units, cfg.features, cfg.classes,
+              f"{cfg.dropout_rate:.17g}", _fmt_row(stats.minimum),
+              _fmt_row(stats.maximum))
+    lines = [MAGIC] + [f"{key} {value}"
+                       for key, value in zip(HEADER_KEYS, header, strict=True)]
     for name, arr in parameter_items(model):
-        if arr.ndim == 2:
-            lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
-            for row in arr:
-                lines.append(_fmt_row(row))
-        else:
-            lines.append(f"tensor {name} {arr.shape[0]} 0")
-            lines.append(_fmt_row(arr))
+        lines.append(_tensor_line(name, arr))
+        lines += map(_fmt_row, np.atleast_2d(arr))  # a vector is one row
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -83,34 +87,32 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
         with path.open("r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
+            lines = [line.rstrip("\n") for line in fh] + [END]
     except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: cannot read ({exc})") from None
-    if not lines or lines[0] != MAGIC:
-        raise CheckpointError(f"{path}: not a congestionlab checkpoint")
 
-    header: dict[str, str] = {}
-    idx = 1
-    while idx < len(lines) and not lines[idx].startswith("tensor "):
-        key, _, value = lines[idx].partition(" ")
-        if key in header or key not in HEADER_KEYS:
-            problem = "repeated" if key in header else "unexpected"
-            raise CheckpointError(f"{path}: {problem} header key {key!r}")
-        header[key] = value
-        idx += 1
+    def expect(pos: int, expected: str, found: str) -> None:
+        """The one position check: line `pos` (its key, in the header) is
+        what save_checkpoint writes there."""
+        if found != expected:
+            raise CheckpointError(f"{path}: line {pos + 1}: expected "
+                                  f"{_shown(expected)}, found {_shown(found)}")
+
+    expect(0, MAGIC, lines[0])
+    values = []
+    for pos, key in enumerate(HEADER_KEYS, start=1):
+        found, _, value = lines[pos].partition(" ")
+        expect(pos, key, found)
+        values.append(value)
+    layers, hidden, features, classes, dropout, norm_min, norm_max = values
     try:
-        config = ModelConfig(
-            num_layers=int(header["layers"]),
-            hidden_units=int(header["hidden"]),
-            features=int(header["features"]),
-            classes=int(header["classes"]),
-            dropout_rate=float(header["dropout"]),
-        )
+        config = ModelConfig(num_layers=int(layers), hidden_units=int(hidden),
+                             features=int(features), classes=int(classes),
+                             dropout_rate=float(dropout))
         stats = NormalizationStats(
-            np.array([float(v) for v in header["norm_min"].split()]),
-            np.array([float(v) for v in header["norm_max"].split()]),
-        )
-    except (KeyError, ValueError) as exc:
+            np.array([float(v) for v in norm_min.split()]),
+            np.array([float(v) for v in norm_max.split()]))
+    except ValueError as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
     if not np.isfinite([stats.minimum, stats.maximum]).all():
         raise CheckpointError(f"{path}: non-finite normalization stats")
@@ -127,40 +129,22 @@ def load_checkpoint(path) -> tuple[ModelParameters, NormalizationStats]:
         raise CheckpointError(
             f"{path}: header declares more parameters than the file holds")
 
-    tensors: dict[str, np.ndarray] = {}
-    while idx < len(lines):
-        if not lines[idx].strip():
-            idx += 1
-            continue
-        parts = lines[idx].split()
-        if parts[0] != "tensor" or len(parts) != 4:
-            raise CheckpointError(f"{path}: malformed tensor header {lines[idx]!r}")
-        if parts[1] in tensors:
-            raise CheckpointError(f"{path}: repeated tensor {parts[1]}")
-        try:
-            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-            data = [[float(v) for v in lines[idx + 1 + k].split()]
-                    for k in range(rows if cols else 1)]  # a vector: one line
-            tensors[name] = np.array(data if cols else data[0])
-            idx += 1 + len(data)
-        except (IndexError, ValueError) as exc:
-            raise CheckpointError(
-                f"{path}: truncated or malformed tensor {parts[1]} ({exc})"
-            ) from None
-
-    # fill the model in canonical order; fail loudly on missing, mismatched
-    # or unexpected tensors
     model = zero_parameters(config)
+    pos = len(HEADER_KEYS) + 1
     for name, arr in parameter_items(model):
-        if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {name}")
-        value = tensors.pop(name)
-        if value.shape != arr.shape:
-            raise CheckpointError(f"{path}: tensor {name} has shape "
-                                  f"{value.shape}, expected {arr.shape}")
-        if not np.isfinite(value).all():
+        expect(pos, _tensor_line(name, arr), lines[pos])
+        rows = np.atleast_2d(arr)  # a view of arr; a vector is one row
+        try:
+            data = np.array([[float(v) for v in line.split()]
+                             for line in lines[pos + 1:pos + 1 + len(rows)]])
+            if data.shape != rows.shape:
+                raise ValueError(f"shape {data.shape}, expected {rows.shape}")
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: line {pos + 2}: tensor {name} is "
+                                  f"truncated or malformed ({exc})") from None
+        if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name} has non-finite values")
-        arr[...] = value
-    if tensors:
-        raise CheckpointError(f"{path}: unexpected tensor {next(iter(tensors))}")
+        rows[...] = data
+        pos += 1 + len(rows)
+    expect(pos, END, lines[pos])
     return model, stats

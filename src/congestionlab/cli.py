@@ -27,7 +27,8 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import experiment, metrics, telemetry, training
-from .controller import PolicyConfig, write_decision_log
+from .controller import (DECISION_LOG_HEADER, PolicyConfig,
+                         write_decision_log)
 from .nn import ModelConfig
 from .simulator import LoadScenario, SimConfig, SimulationError
 from .telemetry import TelemetryError, check_fields
@@ -193,9 +194,9 @@ def cmd_run_experiment(args) -> int:
 
         run_dir = out_dir / f"{scenario.value}_{args.predictor}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "config.json").write_text(
-            json.dumps(dataclasses.asdict(sim_config), default=str, indent=2)
-            + "\n")
+        (run_dir / "config.json").write_text(json.dumps(
+            dataclasses.asdict(sim_config) | {"scenario": scenario.value},
+            indent=2) + "\n")
         telemetry.write_csv(run_dir / "telemetry.csv",
                             run.sim_result.telemetry)
         write_decision_log(run_dir / "decisions.csv", run.decisions)
@@ -255,11 +256,10 @@ def cmd_replay(args) -> int:
     try:
         with open(args.log, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            required = {"score", "action", "threshold"}
-            if reader.fieldnames is None \
-                    or not required.issubset(reader.fieldnames):
-                raise ConfigError(f"{args.log}: missing columns "
-                                  f"{sorted(required)} in decision log")
+            if reader.fieldnames != DECISION_LOG_HEADER.split(","):
+                raise ConfigError(f"{args.log}: unexpected header "
+                                  f"{reader.fieldnames}, expected "
+                                  f"{DECISION_LOG_HEADER}")
             rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{args.log}: cannot read ({exc})") from None

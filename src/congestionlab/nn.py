@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .telemetry import CongestionLevel, check_fields
+from .telemetry import check_fields
 
 
 def sigmoid(x):
@@ -143,14 +143,6 @@ def dense_softmax(params: DenseParameters, h: np.ndarray) -> np.ndarray:
     """Class probabilities from a hidden vector (or batch of them)."""
     logits = np.asarray(h, dtype=float) @ params.w_out.T + params.b_out
     return softmax(logits)
-
-
-def predict_class(probabilities) -> CongestionLevel:
-    """Argmax with ties broken toward the higher congestion level."""
-    p = np.asarray(probabilities, dtype=float)
-    # reversed argmax returns the last index among tied maxima
-    idx = len(p) - 1 - int(np.argmax(p[::-1]))
-    return CongestionLevel(idx)
 
 
 def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = False,

@@ -383,7 +383,6 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
             queue_occupancy=occ_mean,
             active_devices=config.device_count,
             label=label_congestion(occ_mean),
-            empty_interval=stats.delivered == 0,
         )
         telemetry.append(record)
         interval_log.append(stats)

@@ -14,7 +14,7 @@ import functools
 import math
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -90,14 +90,11 @@ class CongestionLevel(IntEnum):
 class TelemetryRecord:
     timestamp_s: float
     throughput_kbps: float
-    delay_ms: float
+    delay_ms: float  # 0 in an interval that delivered nothing
     packet_loss_rate: float
     queue_occupancy: float
     active_devices: int
     label: CongestionLevel
-    # True when no packet was delivered in the interval, so delay_ms is a
-    # placeholder 0 rather than a measurement.  Not part of the CSV schema.
-    empty_interval: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.timestamp_s, self.throughput_kbps,
@@ -170,9 +167,7 @@ def ingest_csv(path) -> list[TelemetryRecord]:
                 active_devices=int(row[5]),
                 label=CongestionLevel.parse(row[6]),
             )
-        except TelemetryError as exc:
-            raise TelemetryError(f"{path}:{lineno}: {exc}") from None
-        except ValueError as exc:
+        except ValueError as exc:  # a TelemetryError is a ValueError
             raise TelemetryError(f"{path}:{lineno}: {exc}") from None
         if prev_ts is not None and rec.timestamp_s <= prev_ts:
             raise TelemetryError(

@@ -268,8 +268,9 @@ class EvaluationResult:
     @classmethod
     def of(cls, probs: np.ndarray, targets: np.ndarray) -> "EvaluationResult":
         """Score (N, C) class probabilities against one-hot targets; ties go
-        to the higher class, as in predict_class."""
+        to the higher class."""
         classes = probs.shape[1]
+        # argmax of the reversed row: the last index among tied maxima
         predicted = classes - 1 - np.argmax(probs[:, ::-1], axis=1)
         confusion = np.bincount(np.argmax(targets, axis=1) * classes + predicted,
                                 minlength=classes ** 2).reshape(classes, classes)

@@ -206,6 +206,11 @@ class TestRunExperimentCompareReplay:
         assert lines
         assert all(line.split(",")[3] == "none" for line in lines)
 
+    def test_config_json_holds_the_scenario_value(self, pipeline):
+        run_dir = self.run_predictor(pipeline, "none")
+        config = json.loads((run_dir / "config.json").read_text())
+        assert config["scenario"] == "high"
+
     def test_lstm_requires_checkpoint(self, tmp_path):
         code = main(["run-experiment", "--predictor", "lstm",
                      "--out-dir", str(tmp_path / "x")])
@@ -315,6 +320,21 @@ class TestFailClosedInputs:
         out = capsys.readouterr()
         assert out.out == ""
         assert "row 0" in out.err
+
+    @pytest.mark.parametrize("header, row", [
+        ("time_s,score,threshold,action,throughput_kbps,predictor,extra",
+         "10.0,0.600000,0.500000,traffic_shaping,50.0,lstm,x"),
+        ("score,time_s,threshold,action,throughput_kbps,predictor",
+         "0.600000,10.0,0.500000,traffic_shaping,50.0,lstm"),
+    ], ids=["extra-column", "reordered-columns"])
+    def test_replay_header_must_be_exact(self, tmp_path, capsys, header, row):
+        # the row is consistent: only the header is wrong
+        log = tmp_path / "decisions.csv"
+        log.write_text(header + "\n" + row + "\n")
+        assert main(["replay", str(log)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unexpected header" in out.err
 
     def test_replay_threshold_must_match_row_0(self, tmp_path, capsys):
         # consistent under row 0's threshold 0.5, but row 1 claims 0.9, at

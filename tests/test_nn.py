@@ -15,9 +15,7 @@ from congestionlab.nn import (DenseParameters, LstmLayerParameters,
                               ModelConfig, ModelParameters, dense_softmax,
                               flatten_parameters, forward, forward_batch,
                               init_parameters, parameter_count,
-                              predict_class, sigmoid, softmax,
-                              unflatten_parameters)
-from congestionlab.telemetry import CongestionLevel
+                              sigmoid, softmax, unflatten_parameters)
 
 
 def oracle_sigmoid(x):
@@ -317,14 +315,6 @@ class TestDenseAndPrediction:
         np.testing.assert_allclose(
             dense_softmax(params, h),
             softmax(params.w_out @ h + params.b_out), atol=1e-15)
-
-    def test_argmax_cases(self):
-        assert predict_class([0.1, 0.2, 0.7]) == CongestionLevel.HIGH
-        assert predict_class([0.6, 0.3, 0.1]) == CongestionLevel.LOW
-
-    def test_tie_breaks_toward_higher_level(self):
-        assert predict_class([1 / 3, 1 / 3, 1 / 3]) == CongestionLevel.HIGH
-        assert predict_class([0.4, 0.4, 0.2]) == CongestionLevel.MEDIUM
 
 
 class TestInitAndFlattening:

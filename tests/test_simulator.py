@@ -318,7 +318,6 @@ class TestRun:
             assert rec.throughput_kbps == 0.0
             assert rec.packet_loss_rate == 0.0
             assert rec.delay_ms == 0.0
-            assert rec.empty_interval
             assert rec.active_devices == 0
 
     def test_half_load_low_loss(self):
@@ -341,7 +340,7 @@ class TestRun:
                     + cfg.packet_size_bits / cfg.link_capacity_bps * 1000.0)
         mean_queueing = np.mean([rec.delay_ms - fixed_ms
                                  for rec in result.telemetry
-                                 if not rec.empty_interval])
+                                 if rec.throughput_kbps > 0])
         assert mean_queueing > 10.0 * cfg.propagation_ms
 
     def test_monotone_load_response(self):

@@ -11,9 +11,10 @@ from congestionlab.nn import (ModelConfig, flatten_parameters, forward,
                               forward_batch, init_parameters,
                               parameter_count, parameter_items,
                               unflatten_parameters)
-from congestionlab.telemetry import DatasetSplit, SequenceSample
-from congestionlab.training import (AdamState, TrainingConfig,
-                                    TrainingDivergedError, adam_step, backward,
+from congestionlab.telemetry import CongestionLevel, DatasetSplit, SequenceSample
+from congestionlab.training import (AdamState, EvaluationResult,
+                                    TrainingConfig, TrainingDivergedError,
+                                    adam_step, backward,
                                     batch_loss, clip_gradients,
                                     cross_entropy, evaluate,
                                     finite_difference_gradient,
@@ -439,3 +440,21 @@ class TestEvaluate:
                                 seed=0)
         with pytest.raises(ValueError):
             evaluate(model, [])
+
+
+def scored_as(probs, levels) -> EvaluationResult:
+    """EvaluationResult.of for rows of `probs` whose true classes are `levels`."""
+    return EvaluationResult.of(np.array(probs, dtype=float),
+                               np.eye(len(CongestionLevel))[levels])
+
+
+class TestEvaluationResult:
+    def test_argmax_cases(self):
+        result = scored_as([[0.1, 0.2, 0.7], [0.6, 0.3, 0.1]],
+                           [CongestionLevel.HIGH, CongestionLevel.LOW])
+        assert result.accuracy == 1.0
+
+    def test_tie_breaks_toward_higher_level(self):
+        result = scored_as([[1 / 3, 1 / 3, 1 / 3], [0.4, 0.4, 0.2]],
+                           [CongestionLevel.HIGH, CongestionLevel.MEDIUM])
+        assert result.accuracy == 1.0
