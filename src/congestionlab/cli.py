@@ -1,19 +1,20 @@
 """Operator command suite.
 
 Subcommands: gen-data, train, evaluate, run-experiment, compare, replay.
-Configuration is a single JSON file read into one RunConfig: four top-level
+Configuration is a single JSON file read into one RunConfig: three top-level
 scalars plus the sections sim / model / training / policy, one per module
 config (policy holds only the threshold); any leaf can be overridden with
 --set section.key=value.  Every field is type- and range-checked, and the
 keys the commands derive (sim.scenario, sim.seed, training.seed,
-model.features, model.classes) are refused; any ConfigError surfaces before
-a command writes output.  compare likewise refuses a report.json field of
-the wrong type or a non-finite number, and a pair of reports whose scenario,
-seed or config digest differ.  Every command is deterministic under
-the master seed.
+model.features, model.classes) are refused, as is any unknown key such as
+window (telemetry.WINDOW); any ConfigError surfaces before a command writes
+output.  evaluate reads no config, only its checkpoint.  compare likewise
+refuses a report.json field of the wrong type or a non-finite number, and a
+pair of reports whose scenario, seed or config digest differ.  Every command
+is deterministic under the master seed.
 
-Exit codes: 0 success, 1 usage/config error, 2 acceptance-check failure
-(replay mismatch or training divergence).
+Exit codes: 0 success, 1 usage/config error (argparse's usage errors too),
+2 acceptance-check failure (replay mismatch or training divergence).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class ConfigError(ValueError):
 class RunConfig:
     """The whole run configuration; training.seed derives from master_seed."""
     master_seed: int = 42
-    window: int = 10
     runs_per_scenario: int = 1
     chronological_split: bool = False
     sim: SimConfig = dataclasses.field(default_factory=SimConfig)
@@ -52,7 +52,7 @@ class RunConfig:
     policy: PolicyConfig = dataclasses.field(default_factory=PolicyConfig)
 
     def __post_init__(self):
-        check_fields(self, ConfigError, positive=("window", "runs_per_scenario"))
+        check_fields(self, ConfigError, positive=("runs_per_scenario",))
         for scenario in LoadScenario:  # the commands set it, before any output
             dataclasses.replace(self.sim, scenario=scenario)
         self.training = dataclasses.replace(self.training, seed=(
@@ -138,14 +138,13 @@ def _collect_csv_paths(data_args: list[str]) -> list[Path]:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set)
+    series_list = [telemetry.ingest_csv(p) for p in _collect_csv_paths(args.data)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    series_list = [telemetry.ingest_csv(p) for p in _collect_csv_paths(args.data)]
     trained = experiment.train_pipeline(
         series_list,
         model_config=config.model,
         training_config=config.training,
-        window=config.window,
         chronological_split=config.chronological_split,
     )
     ckpt.save_checkpoint(out_dir / "checkpoint.txt", trained.model, trained.stats)
@@ -158,11 +157,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_config(args.config, args.set)
     model, stats = ckpt.load_checkpoint(args.checkpoint)
     series_list = [telemetry.ingest_csv(p) for p in _collect_csv_paths(args.data)]
-    samples = telemetry.normalized(
-        telemetry.raw_windows(series_list, config.window), stats)
+    samples = telemetry.normalized(telemetry.raw_windows(series_list), stats)
     if not samples:
         raise ConfigError("no usable windows in the provided data")
     result = training.evaluate(model, samples)
@@ -188,8 +185,7 @@ def cmd_run_experiment(args) -> int:
                                       f"experiment/{scenario.value}")
         sim_config = dataclasses.replace(config.sim, scenario=scenario, seed=seed)
         controller = experiment.make_controller(
-            args.predictor, model=model, stats=stats, policy=config.policy,
-            window=config.window)
+            args.predictor, model=model, stats=stats, policy=config.policy)
         run = experiment.run_experiment(sim_config, controller)
 
         run_dir = out_dir / f"{scenario.value}_{args.predictor}"
@@ -310,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on telemetry CSVs")
-    add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", nargs="+", required=True)
     p.set_defaults(func=cmd_evaluate)
@@ -335,8 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ConfigError, TelemetryError, SimulationError,

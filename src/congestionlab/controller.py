@@ -18,12 +18,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
 from . import fls, nn
-from .telemetry import (NormalizationStats, TelemetryRecord, check_fields,
-                        records_to_matrix)
+from .telemetry import (WINDOW, NormalizationStats, TelemetryRecord,
+                        check_fields, records_to_matrix)
 
 
 class ControlAction(Enum):
@@ -59,10 +60,10 @@ class PolicyConfig:
 
 
 def congestion_score(probabilities) -> float:
-    """SCORE_WEIGHTS collapse of the 3-class distribution onto [0,1]."""
+    """SCORE_WEIGHTS collapse of the class distribution onto [0,1]."""
     p = np.asarray(probabilities, dtype=float)
-    if p.shape != (3,):
-        raise ValueError("expected a 3-class probability vector")
+    if p.shape != (len(SCORE_WEIGHTS),):
+        raise ValueError("expected one probability per SCORE_WEIGHTS entry")
     return float(np.dot(p, SCORE_WEIGHTS))
 
 
@@ -104,16 +105,16 @@ class Controller:
 
 
 class LstmController(Controller):
-    """Normalize the window with the training-time stats, run the model and
-    score its class probabilities."""
+    """Normalize the last WINDOW records with the training-time stats, run the
+    model and score its class probabilities."""
 
     predictor_id = "lstm"
 
     def __init__(self, model, stats: NormalizationStats,
-                 policy: PolicyConfig | None = None, window_length: int = 10):
+                 policy: PolicyConfig | None = None):
         if stats.minimum.shape[0] != model.config.features:
             raise ValueError("normalization stats do not match model features")
-        super().__init__(window_length, policy)
+        super().__init__(WINDOW, policy)
         self.model = model
         self.stats = stats
 
@@ -158,7 +159,6 @@ class DecisionEntry:
 
 
 def write_decision_log(path, entries) -> None:
-    from pathlib import Path
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(DECISION_LOG_HEADER + "\n")
         for entry in entries:

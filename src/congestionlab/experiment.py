@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import nn, simulator, telemetry, training
 from .controller import (ControlAction, Controller, DecisionEntry,
-                         FlsController, LstmController, PolicyConfig)
+                         FlsController, LstmController, PolicyConfig, decide)
 from .simulator import SimConfig
 
 
@@ -42,7 +42,7 @@ class TrainedModel:
 def train_pipeline(series_list: list[list[telemetry.TelemetryRecord]],
                    model_config: nn.ModelConfig,
                    training_config: training.TrainingConfig,
-                   window: int = 10,
+                   window: int = telemetry.WINDOW,
                    chronological_split: bool = False) -> TrainedModel:
     """window -> split -> fit stats on the train split -> normalize -> train.
 
@@ -65,11 +65,11 @@ def train_pipeline(series_list: list[list[telemetry.TelemetryRecord]],
 
 
 def make_controller(predictor: str, model=None, stats=None,
-                    policy: PolicyConfig | None = None, window: int = 10):
+                    policy: PolicyConfig | None = None):
     if predictor == "lstm":
         if model is None or stats is None:
             raise ValueError("lstm predictor needs a model and stats")
-        return LstmController(model, stats, policy=policy, window_length=window)
+        return LstmController(model, stats, policy=policy)
     if predictor == "fls":
         return FlsController(policy=policy)
     if predictor == "none":
@@ -121,7 +121,6 @@ def replay_decisions(rows: list[dict], threshold: float = 0.5
     as (row_index, recorded, recomputed).  Warm-up rows (empty score) are
     skipped.  A bad score or action, or a recorded threshold other than
     `threshold`, raises ValueError naming the row."""
-    from .controller import decide
     mismatches = []
     previous = None
     for idx, row in enumerate(rows):

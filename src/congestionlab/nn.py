@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .telemetry import check_fields
+from .telemetry import FEATURE_COUNT, CongestionLevel, check_fields
 
 
 def sigmoid(x):
@@ -48,8 +48,8 @@ def softmax(logits):
 class ModelConfig:
     hidden_units: int = 64
     num_layers: int = 2
-    features: int = 5
-    classes: int = 3
+    features: int = FEATURE_COUNT
+    classes: int = len(CongestionLevel)
     dropout_rate: float = 0.2
 
     def __post_init__(self):

@@ -23,8 +23,8 @@ Runs are deterministic under (config, seed).
 
 Every packet is `SimConfig.packet_size_bits` long.  `run` returns a
 SimResult carrying only aggregates: one TelemetryRecord and one IntervalStats
-per telemetry interval (injected, delivered and dropped counts, delivered
-bits, each delivered packet's total delay, and the action in force), plus the
+per telemetry interval (injected and dropped counts, delivered bits, each
+delivered packet's total delay, and the action in force), plus the
 run's end counters (injected, delivered, dropped, suppressed, queued,
 in_flight and conservation_violations).  No per-packet log is kept.
 """
@@ -220,7 +220,6 @@ class IntervalStats:
     """Raw per-interval accumulators, consumed by metrics.interval_metrics."""
     index: int
     injected: int = 0
-    delivered: int = 0
     dropped: int = 0
     delivered_bits: float = 0.0
     total_delays_ms: list[float] = field(default_factory=list)
@@ -325,7 +324,7 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
 
     for interval_idx in range(config.intervals):
         boundary = (interval_idx + 1) * config.telemetry_interval_s
-        injected0, delivered0, dropped0 = injected, delivered, state.dropped
+        injected0, dropped0 = injected, state.dropped
         shaper = state.shaper
         delivered_bits = 0.0
         delays_ms: list[float] = []
@@ -365,7 +364,6 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
         stats = IntervalStats(
             index=interval_idx,
             injected=injected - injected0,
-            delivered=delivered - delivered0,
             dropped=state.dropped - dropped0,
             delivered_bits=delivered_bits,
             total_delays_ms=delays_ms,

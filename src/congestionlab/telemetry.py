@@ -2,9 +2,10 @@
 
 One TelemetryRecord summarizes a network over one reporting interval.  Records
 become SequenceSamples by min-max normalizing the feature columns (stats fitted
-on the training split only) and sliding a stride-1 window of length T over the
-series; each window is labeled with the congestion level of the step that
-immediately follows it.
+on the training split only) and sliding a stride-1 window of WINDOW records
+over the series; each window is labeled with the congestion level of the step
+that immediately follows it.  FEATURE_NAMES, WINDOW and CongestionLevel fix
+the model's input and output shape.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ FEATURE_NAMES = (
     "active_devices",
 )
 FEATURE_COUNT = len(FEATURE_NAMES)
+# records per model input: a window of WINDOW records is labeled with the
+# next record's congestion level
+WINDOW = 10
 _field_types = functools.cache(typing.get_type_hints)  # for check_fields
 
 CSV_HEADER = (
@@ -218,7 +222,7 @@ def fit_normalization(rows) -> NormalizationStats:
 
 
 def one_hot(level: CongestionLevel) -> np.ndarray:
-    out = np.zeros(3)
+    out = np.zeros(len(CongestionLevel))
     out[int(level)] = 1.0
     return out
 
@@ -231,7 +235,7 @@ class SequenceSample:
     target: np.ndarray
 
 
-def raw_windows(series_list, window: int = 10) -> list[SequenceSample]:
+def raw_windows(series_list, window: int = WINDOW) -> list[SequenceSample]:
     """Slide a stride-1 window over each series' raw feature rows; the sample
     at position t covers records [t-window, t) and is labeled with record t's
     congestion level, so a series of at most `window` records yields none."""

@@ -36,6 +36,12 @@ BAD_OVERRIDES = [
     # clipping is always on; the score weights and decimals are constants
     "training.clip_norm=null", "policy.score_weights=[0,0.5,1]",
     "policy.score_decimals=2",
+    # the model's window is telemetry.WINDOW: a checkpoint trained at 10 once
+    # ran at window 3, scoring from the third record
+    "window=3",
+    # the edges of an open or positive range, and an int for a bool
+    "policy.threshold=0", "policy.threshold=1", "training.max_epochs=0",
+    "chronological_split=1",
 ]
 
 
@@ -43,7 +49,7 @@ class TestConfig:
     def test_defaults(self):
         config = load_config(None, [])
         assert config.master_seed == 42
-        assert config.window == 10
+        assert config.runs_per_scenario == 1
 
     def test_file_overrides(self, tmp_path):
         path = tmp_path / "config.json"
@@ -181,10 +187,12 @@ class TestTrainEvaluate:
                      str(tmp_path / "none.txt"), "--data", str(tmp_path)])
         assert code == 1
 
-    def test_missing_data_is_error(self, pipeline):
-        code = main(["train", "--data", "/nonexistent/dir",
-                     "--out-dir", "/tmp/unused"])
+    def test_missing_data_is_error(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["train", "--data", str(tmp_path / "nonexistent"),
+                     "--out-dir", str(out)])
         assert code == 1
+        assert not out.exists()
 
 
 class TestRunExperimentCompareReplay:
@@ -299,6 +307,22 @@ class TestRunExperimentCompareReplay:
             "10.0,0.900000,0.500000,none,50.0,lstm\n")
         assert main(["replay", str(log)]) == 2
 
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_window_is_not_a_setting(self, pipeline, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"window": 10}))
+        argv = ["run-experiment", "--predictor", "lstm", "--scenario", "high",
+                "--checkpoint", str(pipeline / "run" / "checkpoint.txt"),
+                "--out-dir", str(out)]
+        argv += {"set": ["--set", "window=3"],
+                 "config": ["--config", str(config)]}[source]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'window'" in captured.err
+        assert not out.exists()
+
     def test_replay_missing_columns_is_error(self, tmp_path):
         log = tmp_path / "decisions.csv"
         log.write_text("a,b\n1,2\n")
@@ -383,6 +407,28 @@ class TestFailClosedInputs:
         assert out.err.startswith("error: ")
         assert "Traceback" not in out.err
 
+    # argparse's own exit 2 once made these read as a replay mismatch;
+    # evaluate reads everything from the checkpoint, so it has no config
+    @pytest.mark.parametrize("argv", [
+        ["bogus"],
+        ["evaluate", "--checkpoint", "{tmp}/checkpoint.txt"],
+        ["evaluate", "--checkpoint", "{tmp}/checkpoint.txt", "--data", "{tmp}",
+         "--set", "x=1"],
+        ["evaluate", "--checkpoint", "{tmp}/checkpoint.txt", "--data", "{tmp}",
+         "--config", "{tmp}/config.json"],
+    ], ids=["unknown-command", "missing-data", "evaluate-set",
+            "evaluate-config"])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: congestionlab" in captured.err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: congestionlab" in capsys.readouterr().out
+
     def test_config_top_level_must_be_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -394,14 +440,9 @@ class TestFailClosedInputs:
 
     @pytest.mark.parametrize("loaded, overrides", [
         ({"sim": 5}, []),
-        ({"window": "ten"}, []),
-        ({}, ["window.size=3"]),
+        ({"window": 10}, []),  # an unknown key: the window is not a setting
         ({"trainig": {"max_epochs": 1}}, []),
         ({}, ["trainig.max_epochs=1"]),
-        ({}, ["window=-2"]),
-        ({}, ["window=0"]),
-        ({"window": True}, []),
-        ({"window": 2.5}, []),
         ({}, ["runs_per_scenario=-1"]),
         ({"runs_per_scenario": 0}, []),
         ({"runs_per_scenario": True}, []),

@@ -117,7 +117,7 @@ def decision_log(tmp_path_factory):
                       lambda p: write_decision_log(p, entries))
 
 
-CONFIG_JSON = json.dumps({"master_seed": 7, "window": 5,
+CONFIG_JSON = json.dumps({"master_seed": 7, "runs_per_scenario": 2,
                           "sim": {"duration_s": 60.0}}).encode()
 
 

@@ -69,8 +69,7 @@ class TestLossRate:
 
 def make_interval(index=0, injected=10, dropped=1, delays=(10.0, 20.0),
                   bits=2000.0):
-    stats = IntervalStats(index=index, injected=injected,
-                          delivered=len(delays), dropped=dropped,
+    stats = IntervalStats(index=index, injected=injected, dropped=dropped,
                           delivered_bits=bits,
                           total_delays_ms=list(delays))
     return metrics.interval_metrics(stats, SimConfig())

@@ -459,9 +459,12 @@ class TestRun:
         assert [iv.action_in_force for iv in result.intervals[:4]] \
             == [ControlAction.NONE] + cycle
         counters = result.counters
-        for key in ("injected", "delivered", "dropped"):
+        for key in ("injected", "dropped"):
             assert sum(getattr(iv, key) for iv in result.intervals) \
                 == counters[key]
+        # an interval records one delay per packet it delivered
+        assert sum(len(iv.total_delays_ms) for iv in result.intervals) \
+            == counters["delivered"]
         assert counters["suppressed"] > 0
         assert counters["injected"] == (counters["delivered"]
                                         + counters["dropped"]
