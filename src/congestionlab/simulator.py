@@ -20,6 +20,10 @@ the seed in one call and sums them in order; the devices merge by (time,
 device).  Per-packet delay is ((propagation + transmission) + queueing) +
 processing, in that order both in `total_delay` and inline in `run`.
 Runs are deterministic under (config, seed).
+Event order: a departure tied with an arrival goes first, and an event at
+an interval boundary counts in the next interval.  An arrival at an idle
+link enters service at once; at a busy link it goes through `enqueue`, the
+one admission and displacement rule.  QoS picks via `_next_to_serve`.
 
 Every packet is `SimConfig.packet_size_bits` long.  `run` returns a
 SimResult carrying only aggregates: one TelemetryRecord and one IntervalStats
@@ -297,6 +301,8 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
     `controller_hook(record)` is invoked after each telemetry interval and may
     return a ControlAction (or None, treated as ControlAction.NONE) that is
     applied before the next interval starts.
+    Ties go to the departure, which starts the next service from the queue;
+    an arrival at an idle link is served at once, at a busy one `enqueue`d.
     """
     times, devices = schedule_arrivals(config)
     high_priority_devices = int(round(config.priority_fraction
@@ -326,40 +332,53 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
         boundary = (interval_idx + 1) * config.telemetry_interval_s
         injected0, dropped0 = injected, state.dropped
         shaper = state.shaper
+        fifo = state.discipline == "fifo"
         delivered_bits = 0.0
         delays_ms: list[float] = []
         occ_integral = 0.0
 
         while True:
             next_arrival = arrival_times[arrival_idx]
-            now = min(next_arrival, service_end, boundary)
-            occ_integral += len(queue) * (now - last_occ_time)
-            last_occ_time = now
-            if now >= boundary:
-                break
-            if service_end <= next_arrival:
+            if service_end <= next_arrival:  # a tie goes to the departure
+                if service_end >= boundary:
+                    break
+                now = service_end
+                occ_integral += len(queue) * (now - last_occ_time)
+                last_occ_time = now
                 delivered += 1
                 delivered_bits += size
                 delays_ms.append(fixed_ms + (in_service.service_start_s
                                              - in_service.enqueued_s) * 1000.0
                                  + config.processing_ms)
-                in_service = None
-                service_end = inf
+                if queue:
+                    in_service = (queue.popleft() if fifo
+                                  else _next_to_serve(state))
+                    in_service.service_start_s = now
+                    service_end = now + service_s
+                else:
+                    in_service = None
+                    service_end = inf
             else:
+                if next_arrival >= boundary:
+                    break
+                now = next_arrival
+                occ_integral += len(queue) * (now - last_occ_time)
+                last_occ_time = now
                 if shaper is not None and not shaper.admit(now, size):
                     suppressed += 1
                 else:
                     injected += 1
-                    enqueue(state, Packet(next_arrival,
-                                          priorities[arrival_idx]))
+                    if in_service is not None:
+                        enqueue(state, Packet(now, priorities[arrival_idx]))
+                    else:  # an idle link has an empty queue: serve at once
+                        in_service = Packet(now, priorities[arrival_idx], now)
+                        service_end = now + service_s
                 arrival_idx += 1
-            if in_service is None and queue:
-                in_service = _next_to_serve(state)
-                in_service.service_start_s = now
-                service_end = now + service_s
             if injected != (delivered + state.dropped + len(queue)
                             + (in_service is not None)):
                 violations += 1
+        occ_integral += len(queue) * (boundary - last_occ_time)
+        last_occ_time = boundary
 
         stats = IntervalStats(
             index=interval_idx,

@@ -3,6 +3,7 @@
 import bisect
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -284,6 +285,120 @@ class TestActions:
         assert state.shaper is None
 
 
+def reference_run(config, controller_hook=None):
+    """Reference for run: the event loop that takes the earliest of the next
+    arrival, the service end and the interval boundary, then starts a service
+    whenever the link is idle and the queue is not."""
+    times, devices = simulator.schedule_arrivals(config)
+    high_priority_devices = int(round(config.priority_fraction
+                                      * config.device_count))
+    inf = float("inf")
+    arrival_times = times.tolist() + [inf]
+    is_high = (devices < high_priority_devices).astype(int)
+    priorities = np.array(["low", "high"], dtype=object)[is_high].tolist()
+    size = config.packet_size_bits
+    service_s = size / config.link_capacity_bps
+    fixed_ms = config.propagation_ms + service_s * 1000.0
+    state = SimState(config=config)
+    queue = state.queue
+    telemetry_log, interval_log = [], []
+    injected = delivered = suppressed = violations = 0
+    in_service = None
+    last_occ_time = 0.0
+    arrival_idx = 0
+    service_end = inf
+    current_action = ControlAction.NONE
+    for interval_idx in range(config.intervals):
+        boundary = (interval_idx + 1) * config.telemetry_interval_s
+        injected0, dropped0 = injected, state.dropped
+        shaper = state.shaper
+        delivered_bits = 0.0
+        delays_ms = []
+        occ_integral = 0.0
+        while True:
+            next_arrival = arrival_times[arrival_idx]
+            now = min(next_arrival, service_end, boundary)
+            occ_integral += len(queue) * (now - last_occ_time)
+            last_occ_time = now
+            if now >= boundary:
+                break
+            if service_end <= next_arrival:
+                delivered += 1
+                delivered_bits += size
+                delays_ms.append(fixed_ms + (in_service.service_start_s
+                                             - in_service.enqueued_s) * 1000.0
+                                 + config.processing_ms)
+                in_service = None
+                service_end = inf
+            else:
+                if shaper is not None and not shaper.admit(now, size):
+                    suppressed += 1
+                else:
+                    injected += 1
+                    enqueue(state, Packet(next_arrival,
+                                          priorities[arrival_idx]))
+                arrival_idx += 1
+            if in_service is None and queue:
+                in_service = simulator._next_to_serve(state)
+                in_service.service_start_s = now
+                service_end = now + service_s
+            if injected != (delivered + state.dropped + len(queue)
+                            + (in_service is not None)):
+                violations += 1
+        stats = simulator.IntervalStats(
+            index=interval_idx, injected=injected - injected0,
+            dropped=state.dropped - dropped0, delivered_bits=delivered_bits,
+            total_delays_ms=delays_ms, action_in_force=current_action)
+        occ_mean = occ_integral / config.telemetry_interval_s \
+            / config.buffer_packets
+        occ_mean = min(1.0, max(0.0, occ_mean))
+        record = telemetry.TelemetryRecord(
+            timestamp_s=boundary,
+            throughput_kbps=delivered_bits / config.telemetry_interval_s
+            / 1000.0,
+            delay_ms=float(np.mean(delays_ms)) if delays_ms else 0.0,
+            packet_loss_rate=(stats.dropped / stats.injected)
+            if stats.injected else 0.0,
+            queue_occupancy=occ_mean,
+            active_devices=config.device_count,
+            label=label_congestion(occ_mean))
+        telemetry_log.append(record)
+        interval_log.append(stats)
+        if controller_hook is not None:
+            decided = controller_hook(record)
+            action = decided if decided is not None else ControlAction.NONE
+            if action != current_action:
+                apply_action(state, action, now=boundary)
+                current_action = action
+    counters = {
+        "injected": injected, "delivered": delivered,
+        "dropped": state.dropped, "suppressed": suppressed,
+        "queued": len(queue), "in_flight": int(in_service is not None),
+        "conservation_violations": violations}
+    return simulator.SimResult(telemetry=telemetry_log,
+                               intervals=interval_log, counters=counters)
+
+
+def schedule_hook(schedule):
+    """A fresh controller hook for one run: None, a fixed action, or (for
+    an int) actions drawn from a generator seeded with it."""
+    if schedule is None:
+        return None
+    if isinstance(schedule, ControlAction):
+        return lambda record: schedule
+    rng = random.Random(schedule)
+    return lambda record: rng.choice(list(ControlAction))
+
+
+def assert_same_run(config, schedule=None):
+    expected = reference_run(config, schedule_hook(schedule))
+    result = run(config, schedule_hook(schedule))
+    assert result.telemetry == expected.telemetry
+    assert result.intervals == expected.intervals
+    assert result.counters == expected.counters
+    return result
+
+
 def scripted_five_packet_loss():
     """Hand-counted oracle: buffer 2, 5 back-to-back arrivals, slow link.
 
@@ -308,6 +423,36 @@ class TestRun:
         assert result.counters["injected"] == 5
         assert result.counters["dropped"] == 2
         assert result.telemetry[0].packet_loss_rate == pytest.approx(2 / 5)
+
+    @pytest.mark.parametrize("scenario", list(LoadScenario))
+    @pytest.mark.parametrize("buffer_packets", [1, 5])
+    @pytest.mark.parametrize("interval_s", [1.0, 10.0])
+    @pytest.mark.parametrize("schedule", [
+        None, ControlAction.TRAFFIC_SHAPING, ControlAction.QOS_ADJUSTMENT, 7])
+    def test_matches_reference_loop(self, scenario, buffer_packets,
+                                    interval_s, schedule):
+        cfg = SimConfig(duration_s=60.0, telemetry_interval_s=interval_s,
+                        scenario=scenario, buffer_packets=buffer_packets,
+                        seed=buffer_packets + int(interval_s))
+        result = assert_same_run(cfg, schedule)
+        assert result.counters["conservation_violations"] == 0
+
+    def test_ties_on_service_end_and_boundary(self, monkeypatch):
+        # 1 s service, buffer 1, 3 s intervals: p0 is served 0.5-1.5 and p1
+        # waits; p2 lands on p0's service end, which departs first so that
+        # p1 enters service and p2 finds room in the buffer; p3 lands on
+        # the first boundary and counts in the second interval
+        cfg = SimConfig(duration_s=6.0, telemetry_interval_s=3.0,
+                        device_count=4, link_capacity_bps=1000.0,
+                        packet_size_bits=1000.0, buffer_packets=1,
+                        load_multiplier=0.01)
+        arrivals = (np.array([0.5, 0.6, 1.5, 3.0]), np.arange(4))
+        monkeypatch.setattr(simulator, "schedule_arrivals",
+                            lambda config: arrivals)
+        result = assert_same_run(cfg)
+        assert [(iv.injected, iv.dropped, len(iv.total_delays_ms))
+                for iv in result.intervals] == [(3, 0, 2), (1, 0, 2)]
+        assert result.counters["conservation_violations"] == 0
 
     def test_zero_load_empty_features(self):
         cfg = SimConfig(duration_s=30.0, device_count=0,
@@ -388,17 +533,19 @@ class TestRun:
 
     def test_qos_prioritizes_high_class_delay(self, monkeypatch):
         cfg = SimConfig(duration_s=100.0, scenario=LoadScenario.HIGH, seed=4)
-        served = []
-        next_to_serve = simulator._next_to_serve
+        created = []
 
-        def recording_next(state):
-            packet = next_to_serve(state)
-            served.append(packet)
+        def recording_packet(*args):
+            packet = Packet(*args)
+            created.append(packet)
             return packet
 
-        monkeypatch.setattr(simulator, "_next_to_serve", recording_next)
+        # every packet run makes, whether it enters service from the queue
+        # or straight from an idle link
+        monkeypatch.setattr(simulator, "Packet", recording_packet)
         result = run(cfg, controller_hook=lambda record:
                      ControlAction.QOS_ADJUSTMENT)
+        served = [p for p in created if p.service_start_s is not None]
         # recompute each served packet's delay through DelayBreakdown and
         # file it under the interval its service ended in (the first
         # boundary past the end; the packet still in flight has none)
