@@ -1,7 +1,7 @@
 """Operator command suite.
 
 Subcommands: gen-data, train, evaluate, run-experiment, compare, replay.
-Configuration is a single JSON file read into one RunConfig: three top-level
+Configuration is a single JSON file read into one RunConfig: two top-level
 scalars plus the sections sim / model / training / policy, one per module
 config (policy holds only the threshold); any leaf can be overridden with
 --set section.key=value.  Every field is type- and range-checked, and the
@@ -45,7 +45,6 @@ class RunConfig:
     """The whole run configuration; training.seed derives from master_seed."""
     master_seed: int = 42
     runs_per_scenario: int = 1
-    chronological_split: bool = False
     sim: SimConfig = dataclasses.field(default_factory=SimConfig)
     model: ModelConfig = dataclasses.field(default_factory=ModelConfig)
     training: TrainingConfig = dataclasses.field(default_factory=TrainingConfig)
@@ -141,12 +140,8 @@ def cmd_train(args) -> int:
     series_list = [telemetry.ingest_csv(p) for p in _collect_csv_paths(args.data)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trained = experiment.train_pipeline(
-        series_list,
-        model_config=config.model,
-        training_config=config.training,
-        chronological_split=config.chronological_split,
-    )
+    trained = experiment.train_pipeline(series_list, config.model,
+                                        config.training)
     ckpt.save_checkpoint(out_dir / "checkpoint.txt", trained.model, trained.stats)
     (out_dir / "training_report.txt").write_text(trained.report.to_text())
     result = training.evaluate(trained.model, trained.split.test)

@@ -42,16 +42,14 @@ class TrainedModel:
 def train_pipeline(series_list: list[list[telemetry.TelemetryRecord]],
                    model_config: nn.ModelConfig,
                    training_config: training.TrainingConfig,
-                   window: int = telemetry.WINDOW,
-                   chronological_split: bool = False) -> TrainedModel:
+                   window: int = telemetry.WINDOW) -> TrainedModel:
     """window -> split -> fit stats on the train split -> normalize -> train.
 
     Raw windows are split before any normalization, so the min/max stats
     are fitted on the rows of the training windows only.
     """
-    raw = telemetry.split_dataset(
-        telemetry.raw_windows(series_list, window),
-        seed=training_config.seed, chronological=chronological_split)
+    raw = telemetry.split_dataset(telemetry.raw_windows(series_list, window),
+                                  seed=training_config.seed)
     stats = telemetry.fit_normalization(
         np.concatenate([sample.inputs for sample in raw.train]))
     split = telemetry.DatasetSplit(*(telemetry.normalized(part, stats)

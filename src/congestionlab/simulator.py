@@ -5,7 +5,8 @@ gateway queue served by a single uplink at the configured capacity.  Load
 scenarios scale the aggregate offered rate relative to link capacity
 (Low 0.4x, Medium 0.8x, High 1.25x).  At each telemetry interval the run
 summarizes the interval into a TelemetryRecord, hands it to an optional
-controller hook, and applies whatever ControlAction comes back:
+controller hook, and applies the ControlAction it returns (any other return
+raises SimulationError):
 
 * TRAFFIC_SHAPING gates packet injection through a token bucket refilling at
   80% of link capacity; arrivals the bucket cannot cover are suppressed at
@@ -298,9 +299,9 @@ class SimResult:
 def run(config: SimConfig, controller_hook=None) -> SimResult:
     """Execute the event loop over the configured duration.
 
-    `controller_hook(record)` is invoked after each telemetry interval and may
-    return a ControlAction (or None, treated as ControlAction.NONE) that is
-    applied before the next interval starts.
+    `controller_hook(record)` is invoked after each telemetry interval and
+    must return a ControlAction, which is applied before the next interval
+    starts; any other return raises SimulationError.
     Ties go to the departure, which starts the next service from the queue;
     an arrival at an idle link is served at once, at a busy one `enqueue`d.
     """
@@ -405,8 +406,7 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
         interval_log.append(stats)
 
         if controller_hook is not None:
-            decided = controller_hook(record)
-            action = decided if decided is not None else ControlAction.NONE
+            action = controller_hook(record)
             if action != current_action:
                 apply_action(state, action, now=boundary)
                 current_action = action

@@ -45,11 +45,12 @@ class TelemetryError(ValueError):
 
 
 def _has_type(value, hint) -> bool:
-    """No bool is an int; a float may be an int, but must be finite."""
+    """No bool is an int, nor is any config field a bool; a float may be an
+    int, but must be finite."""
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
         return value is None or _has_type(value, args[0])
-    if isinstance(value, bool) != (hint is bool):
+    if isinstance(value, bool):
         return False
     if hint is float:  # an int too large for a float is not finite either
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
@@ -264,17 +265,13 @@ class DatasetSplit:
         return len(self.train) + len(self.validation) + len(self.test)
 
 
-def split_dataset(samples, seed: int = 0,
-                  chronological: bool = False) -> DatasetSplit:
-    """Seeded shuffle (or chronological order) then contiguous partition
-    into floor(0.8*n) / floor(0.1*n) / remainder."""
+def split_dataset(samples, seed: int = 0) -> DatasetSplit:
+    """Seeded shuffle then contiguous partition into
+    floor(0.8*n) / floor(0.1*n) / remainder."""
     n = len(samples)
     if n < 10:
         raise TelemetryError(f"need at least 10 samples to split, got {n}")
-    order = np.arange(n)
-    if not chronological:
-        rng = np.random.default_rng(seed)
-        rng.shuffle(order)
+    order = np.random.default_rng(seed).permutation(n)
     n_train = int(np.floor(0.8 * n))
     n_val = int(np.floor(0.1 * n))
     idx_train = order[:n_train]

@@ -35,11 +35,13 @@ class TrainingConfig:
     batch_size: int = 32
     patience: int = 10
     seed: int = 0
-    clip_norm: float = 5.0
+    # the global L2 bound on each step's gradient; unannotated, so a class
+    # constant that no config sets
+    clip_norm = 5.0
 
     def __post_init__(self):
         check_fields(self, ValueError, non_negative=("seed",), positive=(
-            "learning_rate", "max_epochs", "batch_size", "patience", "clip_norm"))
+            "learning_rate", "max_epochs", "batch_size", "patience"))
 
 
 @dataclass
@@ -61,6 +63,7 @@ class TrainingReport:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
+    grad_norm_max: list[float] = field(default_factory=list)  # pre-clip
     best_epoch: int = 0
 
     @property
@@ -68,10 +71,11 @@ class TrainingReport:
         return len(self.train_loss)
 
     def to_text(self) -> str:
-        lines = ["epoch,train_loss,val_loss,val_accuracy"]
-        for e, (tl, vl, va) in enumerate(
-                zip(self.train_loss, self.val_loss, self.val_accuracy), start=1):
-            lines.append(f"{e},{tl:.6f},{vl:.6f},{va:.6f}")
+        lines = ["epoch,train_loss,val_loss,val_accuracy,grad_norm_max"]
+        for e, (tl, vl, va, gn) in enumerate(
+                zip(self.train_loss, self.val_loss, self.val_accuracy,
+                    self.grad_norm_max), start=1):
+            lines.append(f"{e},{tl:.6f},{vl:.6f},{va:.6f},{gn:.6f}")
         lines.append("")
         lines.append(f"stopping_epoch {self.stopping_epoch}")
         lines.append(f"best_epoch {self.best_epoch}")
@@ -309,7 +313,7 @@ def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
     n = len(splits.train)
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
-        epoch_loss = 0.0
+        epoch_loss = grad_norm_max = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = train_inputs[idx], train_targets[idx]
@@ -320,7 +324,8 @@ def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
                     f"non-finite training loss at epoch {epoch}")
             epoch_loss += loss * len(idx)
             grads = backward(model, trace, yb)
-            clip_gradients(grads, config.clip_norm)
+            grad_norm_max = max(grad_norm_max,
+                                clip_gradients(grads, config.clip_norm))
             adam_step(model, grads, state, lr=config.learning_rate)
 
         val_loss, val_probs = batch_loss(model, val_inputs, val_targets)
@@ -328,6 +333,7 @@ def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         report.train_loss.append(epoch_loss / n)
         report.val_loss.append(val_loss)
+        report.grad_norm_max.append(grad_norm_max)
         report.val_accuracy.append(
             EvaluationResult.of(val_probs, val_targets).accuracy)
 

@@ -39,9 +39,12 @@ BAD_OVERRIDES = [
     # the model's window is telemetry.WINDOW: a checkpoint trained at 10 once
     # ran at window 3, scoring from the third record
     "window=3",
-    # the edges of an open or positive range, and an int for a bool
+    # the edges of an open or positive range
     "policy.threshold=0", "policy.threshold=1", "training.max_epochs=0",
-    "chronological_split=1",
+    # neither is a setting: the split is always a seeded shuffle, and the
+    # clipping bound is the constant TrainingConfig.clip_norm
+    "chronological_split=1", "chronological_split=false",
+    "training.clip_norm=5",
 ]
 
 

@@ -55,11 +55,7 @@ REPORT_DIGESTS = {
         "561daf2461ac7014804c036293303990f5cbccdfde0b2f453db7d5e4bb6d5a98"),
 }
 
-# keyed by chronological_split
-SPLIT_DIGESTS = {
-    False: "581d0e8dc8a81f38b3d89318c32b22cb6c2b280d96d26c92591cc4ad0b7e546d",
-    True: "153650048107a81f8d4941a2d8cd390a34f41167769d5ab6cb5212602be47df1",
-}
+SPLIT_DIGEST = "581d0e8dc8a81f38b3d89318c32b22cb6c2b280d96d26c92591cc4ad0b7e546d"
 
 
 def sha256(data: bytes) -> str:
@@ -122,10 +118,8 @@ def test_closed_loop_report_matches_golden(key):
             sha256(report.to_text().encode("utf-8"))) == REPORT_DIGESTS[key]
 
 
-@pytest.mark.parametrize("chronological", [False, True])
-def test_train_pipeline_split_matches_golden(corpus, chronological):
+def test_train_pipeline_split_matches_golden(corpus):
     trained = experiment.train_pipeline(
         corpus, nn.ModelConfig(hidden_units=4),
-        training.TrainingConfig(max_epochs=1, seed=3), window=8,
-        chronological_split=chronological)
-    assert split_digest(trained) == SPLIT_DIGESTS[chronological]
+        training.TrainingConfig(max_epochs=1, seed=3), window=8)
+    assert split_digest(trained) == SPLIT_DIGEST

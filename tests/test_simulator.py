@@ -365,8 +365,7 @@ def reference_run(config, controller_hook=None):
         telemetry_log.append(record)
         interval_log.append(stats)
         if controller_hook is not None:
-            decided = controller_hook(record)
-            action = decided if decided is not None else ControlAction.NONE
+            action = controller_hook(record)
             if action != current_action:
                 apply_action(state, action, now=boundary)
                 current_action = action
@@ -595,6 +594,11 @@ class TestRun:
         assert result.intervals[1].action_in_force \
             == ControlAction.TRAFFIC_SHAPING
         assert result.intervals[2].action_in_force == ControlAction.NONE
+
+    def test_hook_returning_none_is_refused(self):
+        cfg = SimConfig(duration_s=30.0, scenario=LoadScenario.HIGH, seed=6)
+        with pytest.raises(SimulationError, match="unknown action None"):
+            run(cfg, controller_hook=lambda record: None)
 
     def test_interval_counts_sum_to_run_counters(self):
         cfg = SimConfig(duration_s=90.0, scenario=LoadScenario.HIGH, seed=7)

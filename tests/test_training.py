@@ -395,6 +395,27 @@ class TestTrainLoop:
         assert report.stopping_epoch == cfg.max_epochs
         assert sum(calls) == cfg.max_epochs
 
+    def test_report_records_max_pre_clip_norm_per_epoch(self, monkeypatch):
+        split = toy_split(20)
+        norms = []
+
+        def recording(grads, max_norm):
+            norms.append(clip_gradients(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(training, "clip_gradients", recording)
+        model = init_parameters(self.small_config(), seed=2)
+        cfg = TrainingConfig(max_epochs=3, batch_size=8, patience=3, seed=3)
+        _, report = train(model, split, cfg)
+        per_epoch = len(norms) // cfg.max_epochs
+        assert len(norms) == per_epoch * cfg.max_epochs == 6
+        assert report.grad_norm_max == [
+            max(norms[k:k + per_epoch]) for k in range(0, len(norms), per_epoch)]
+        lines = report.to_text().splitlines()
+        assert lines[0] == "epoch,train_loss,val_loss,val_accuracy,grad_norm_max"
+        assert [float(line.split(",")[4]) for line in lines[1:4]] \
+            == pytest.approx(report.grad_norm_max, abs=1e-6)
+
     def test_empty_split_rejected(self):
         model = init_parameters(self.small_config(), seed=0)
         with pytest.raises(ValueError):
