@@ -12,6 +12,11 @@ scaled) sits between the two recurrent layers.
 activations, cell states, dropout masks) so backpropagation through time can
 be run over it afterwards; `forward` is the same call at B=1 for one (T, F)
 window.  All arrays are float64.
+
+Each step makes one matmul for all four gate pre-activations, then one
+`sigmoid` call over all four, written straight into the trace; `tanh` then
+overwrites gate 2 (c~) in place.  Both activations are elementwise, so this
+gives the same bits as activating each gate on its own.
 """
 
 from __future__ import annotations
@@ -23,17 +28,32 @@ import numpy as np
 from .telemetry import FEATURE_COUNT, CongestionLevel, check_fields
 
 
-def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+def sigmoid(x, out=None):
+    """Numerically stable logistic function, elementwise; a 0-d input gives
+    a float, and `out` (which may be x itself) receives the result.
+
+    e is exp(-x) where x >= 0 and exp(x) elsewhere, so the result is
+    1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)) per element, unmasked.  The
+    numerator exp(min(x, 0)) is exactly 1.0 where x >= 0, and where x < 0
+    min(x, 0) equals min(x, -x), so it is e bit for bit: no select is needed.
+    minimum (not -abs) passes a NaN through with its sign.
+
+    The LSTM step calls this once over all four gate pre-activations, into
+    the trace, and then lets tanh overwrite gate 2 (c~): both are
+    elementwise, so each gate's bits are those of activating it alone.
+    """
     x = np.asarray(x, dtype=float)
-    # e is exp(-x) where x >= 0 and exp(x) elsewhere, so this is
-    # 1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)) per element, unmasked;
-    # minimum (not -abs) passes a NaN through with its sign
-    e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if x.ndim == 0:
+        return float(sigmoid(x.reshape(1))[0])
+    # e is the one temporary; the numerator is built in `out`, and x is not
+    # read once it is
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    num = np.minimum(x, 0.0, out=out)
+    np.exp(num, out=num)
+    return np.divide(num, e, out=num)
 
 
 def softmax(logits):
@@ -179,17 +199,16 @@ def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = Fals
         h_all = np.empty((steps + 1, batch, hid))
         c_all = np.empty((steps + 1, batch, hid))
         h_all[0] = c_all[0] = 0.0
+        ic = np.empty((batch, hid))  # i * c~, reused by every step
         for t in range(steps):
             a = z_all[t] @ w_t  # (4, B, H) pre-activations
             a += b
-            gates = gates_all[t]
-            gates[:2] = sigmoid(a[:2])
+            gates = sigmoid(a, out=gates_all[t])
             np.tanh(a[2], out=gates[2])
-            gates[3] = sigmoid(a[3])
             i, f, c_tilde, o = gates
             c, h = c_all[t + 1], h_all[t + 1]
             np.multiply(f, c_all[t], out=c)
-            c += i * c_tilde
+            c += np.multiply(i, c_tilde, out=ic)
             np.tanh(c, out=h)
             h *= o
             if t + 1 < steps:

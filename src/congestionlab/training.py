@@ -117,7 +117,6 @@ def backward(model: ModelParameters, trace: ForwardTrace,
 
     for layer_idx in range(len(model.layers) - 1, -1, -1):
         lp = model.layers[layer_idx]
-        din = lp.input_width
         z_all = trace.layer_z[layer_idx]
         gates_all = trace.layer_gates[layer_idx]
         c_all = trace.layer_c[layer_idx]
@@ -127,7 +126,11 @@ def backward(model: ModelParameters, trace: ForwardTrace,
             dh_seq = dh_seq * trace.dropout_masks[layer_idx]
 
         dw, db = np.zeros_like(lp.w), np.zeros_like(lp.b)
-        dx_seq = np.zeros((steps, batch, din))
+        # nothing reads the bottom layer's input gradient: at layer 0 only
+        # the recurrent columns of w are multiplied and no dx_seq is kept
+        w_back = lp.w if layer_idx else lp.w[:, :, :hid]
+        dx_seq = (np.empty((steps, batch, lp.input_width)) if layer_idx
+                  else None)
 
         dh_carry = np.zeros((batch, hid))
         dc_carry = np.zeros((batch, hid))
@@ -150,9 +153,10 @@ def backward(model: ModelParameters, trace: ForwardTrace,
             np.multiply(do * o, 1.0 - o, out=da[3])
             dw += da.transpose(0, 2, 1) @ z_all[t]
             db += da.sum(axis=1)
-            dz = (da @ lp.w).sum(axis=0)
+            dz = (da @ w_back).sum(axis=0)
             dh_carry = dz[:, :hid]
-            dx_seq[t] = dz[:, hid:]
+            if layer_idx:
+                dx_seq[t] = dz[:, hid:]
             dc_carry = dc * f
 
         for k, g in enumerate(nn.GATES):

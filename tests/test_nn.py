@@ -33,6 +33,59 @@ def reference_sigmoid(x):
     return out
 
 
+def reference_forward_batch(model, inputs, train=False, rng=None,
+                            dropout_masks=None):
+    """Reference for forward_batch: the step that activates i and f, c~ and
+    o with separate calls and allocates i * c~ on every step."""
+    cfg = model.config
+    inputs = np.asarray(inputs, dtype=float)
+    batch, steps, _ = inputs.shape
+    hid, rate = cfg.hidden_units, cfg.dropout_rate
+    dropout = train and rate > 0.0
+    trace = nn.ForwardTrace(inputs=inputs, layer_z=[], layer_gates=[],
+                            layer_h=[], layer_c=[])
+    layer_input = inputs.transpose(1, 0, 2)
+    for layer_idx, lp in enumerate(model.layers):
+        w_t, b = lp.w.transpose(0, 2, 1), lp.b[:, None]
+        z_all = np.empty((steps, batch, hid + lp.input_width))
+        z_all[:, :, hid:] = layer_input
+        z_all[0, :, :hid] = 0.0
+        gates_all = np.empty((steps, 4, batch, hid))
+        h_all = np.empty((steps + 1, batch, hid))
+        c_all = np.empty((steps + 1, batch, hid))
+        h_all[0] = c_all[0] = 0.0
+        for t in range(steps):
+            a = z_all[t] @ w_t
+            a += b
+            gates = gates_all[t]
+            gates[:2] = reference_sigmoid(a[:2])
+            np.tanh(a[2], out=gates[2])
+            gates[3] = reference_sigmoid(a[3])
+            i, f, c_tilde, o = gates
+            c, h = c_all[t + 1], h_all[t + 1]
+            np.multiply(f, c_all[t], out=c)
+            c += i * c_tilde
+            np.tanh(c, out=h)
+            h *= o
+            if t + 1 < steps:
+                z_all[t + 1, :, :hid] = h
+        trace.layer_z.append(z_all)
+        trace.layer_gates.append(gates_all)
+        trace.layer_h.append(h_all)
+        trace.layer_c.append(c_all)
+        layer_input = h_all[1:]
+        if dropout and layer_idx < len(model.layers) - 1:
+            if dropout_masks is not None:
+                mask = dropout_masks[layer_idx]
+            else:
+                mask = (rng.random(layer_input.shape) >= rate) / (1.0 - rate)
+            layer_input = layer_input * mask
+            trace.dropout_masks.append(mask)
+    trace.final_hidden = trace.layer_h[-1][-1]
+    trace.probabilities = dense_softmax(model.dense, trace.final_hidden)
+    return trace.probabilities, trace
+
+
 def oracle_forward(model, inputs, dropout_masks=None):
     """Step-by-step scalar-loop recomputation of the stacked forward pass."""
     x_seq = [np.asarray(x, dtype=float) for x in inputs]
@@ -112,6 +165,28 @@ class TestActivations:
         assert same_bits(values[:64].reshape(8, 8)[:, ::2])
         assert all(same_bits(np.float64(v)) for v in edges)
         assert isinstance(sigmoid(np.float64(-3.0)), float)
+
+    def test_sigmoid_out_writes_into_strided_view(self):
+        rng = np.random.default_rng(0)
+        edges = [0.0, -0.0, 745.0, -745.0, 750.0, -750.0, np.inf, -np.inf,
+                 np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0]
+        values = np.concatenate([rng.normal(scale=s, size=500)
+                                 for s in (0.1, 3.0, 40.0, 300.0)] + [edges])
+        rng.shuffle(values)
+        x = values.reshape(4, 8, 63)
+        # a (T, 4, B, H) gate trace with its H axis strided: the step's
+        # target is one [t] slice of it
+        gates_all = np.full((3, 4, 8, 126), 7.0)
+        target = gates_all[1, :, :, ::2]
+        got = sigmoid(x, out=target)
+        assert got is target
+        assert target.tobytes() == reference_sigmoid(x).tobytes()
+        untouched = np.ones(gates_all.shape, dtype=bool)
+        untouched[1, :, :, ::2] = False
+        assert np.all(gates_all[untouched] == 7.0)
+        in_place = x.copy()
+        assert sigmoid(in_place, out=in_place) is in_place
+        assert in_place.tobytes() == reference_sigmoid(x).tobytes()
 
     def test_softmax_equal_logits(self):
         for a in (-3.0, 0.0, 7.5):
@@ -297,6 +372,37 @@ class TestForward:
         expected = oracle_forward(model, x,
                                   dropout_masks=trace.dropout_masks)
         np.testing.assert_allclose(probs, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("hidden", [4, 8, 64])
+    @pytest.mark.parametrize("mode", ["eval", "train-rng", "train-masks"])
+    def test_trace_bits_match_reference_step(self, hidden, mode):
+        rng = np.random.default_rng(hidden)
+        cfg = ModelConfig(hidden_units=hidden, num_layers=2, features=5,
+                          dropout_rate=0.2)
+        model = init_parameters(cfg, seed=hidden)
+        # biases and wide inputs drive the pre-activations far past both
+        # signs' saturation, as well as through zero
+        for lp in model.layers:
+            lp.b[...] = rng.normal(scale=4.0, size=lp.b.shape)
+        for batch in (1, 2, 3, 32, 33):
+            x = rng.normal(scale=5.0, size=(batch, 10, 5))
+            kwargs = dict(train=mode != "eval")
+            if mode == "train-masks":
+                kwargs["dropout_masks"] = [
+                    (rng.random((10, batch, hidden)) >= 0.2) / 0.8]
+            probs, got = forward_batch(
+                model, x, rng=np.random.default_rng(batch), **kwargs)
+            _, want = reference_forward_batch(
+                model, x, rng=np.random.default_rng(batch), **kwargs)
+            assert probs.tobytes() == want.probabilities.tobytes()
+            assert got.final_hidden.tobytes() == want.final_hidden.tobytes()
+            for name in ("layer_z", "layer_gates", "layer_h", "layer_c",
+                         "dropout_masks"):
+                got_arrays, want_arrays = getattr(got, name), getattr(want, name)
+                assert len(got_arrays) == len(want_arrays)
+                assert all(g.tobytes() == w.tobytes()
+                           for g, w in zip(got_arrays, want_arrays)), name
+            assert len(got.dropout_masks) == (mode != "eval")
 
     def test_bad_input_shape_rejected(self):
         model = init_parameters(ModelConfig(hidden_units=2, features=3), seed=0)

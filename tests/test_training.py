@@ -101,6 +101,53 @@ class TestDropout:
             forward_batch(dropout_model(0.2), self.x, train=True)
 
 
+def reference_backward(model, trace, targets):
+    """Reference for backward: every layer, the bottom one included, takes
+    the full-width product da @ w and keeps its input gradient."""
+    probs = trace.probabilities
+    batch, steps = trace.inputs.shape[0], trace.inputs.shape[1]
+    hid = model.config.hidden_units
+    grads = {}
+    dlogits = (probs - targets) / batch
+    grads["dense.w_out"] = dlogits.T @ trace.final_hidden
+    grads["dense.b_out"] = dlogits.sum(axis=0)
+    dh_seq = np.zeros((steps, batch, hid))
+    dh_seq[-1] = dlogits @ model.dense.w_out
+    for layer_idx in range(len(model.layers) - 1, -1, -1):
+        lp = model.layers[layer_idx]
+        z_all = trace.layer_z[layer_idx]
+        gates_all = trace.layer_gates[layer_idx]
+        c_all = trace.layer_c[layer_idx]
+        if layer_idx < len(trace.dropout_masks):
+            dh_seq = dh_seq * trace.dropout_masks[layer_idx]
+        dw, db = np.zeros_like(lp.w), np.zeros_like(lp.b)
+        dx_seq = np.zeros((steps, batch, lp.input_width))
+        dh_carry = np.zeros((batch, hid))
+        dc_carry = np.zeros((batch, hid))
+        da = np.empty((4, batch, hid))
+        for t in range(steps - 1, -1, -1):
+            dh = dh_seq[t] + dh_carry
+            i, f, c_tilde, o = gates_all[t]
+            tanh_c = np.tanh(c_all[t + 1])
+            do = dh * tanh_c
+            dc = dc_carry + dh * o * (1.0 - tanh_c ** 2)
+            np.multiply(dc * c_tilde * i, 1.0 - i, out=da[0])
+            np.multiply(dc * c_all[t] * f, 1.0 - f, out=da[1])
+            np.multiply(dc * i, 1.0 - c_tilde ** 2, out=da[2])
+            np.multiply(do * o, 1.0 - o, out=da[3])
+            dw += da.transpose(0, 2, 1) @ z_all[t]
+            db += da.sum(axis=1)
+            dz = (da @ lp.w).sum(axis=0)
+            dh_carry = dz[:, :hid]
+            dx_seq[t] = dz[:, hid:]
+            dc_carry = dc * f
+        for k, g in enumerate(nn.GATES):
+            grads[f"layer{layer_idx}.w_{g}"] = dw[k]
+            grads[f"layer{layer_idx}.b_{g}"] = db[k]
+        dh_seq = dx_seq
+    return grads
+
+
 class TestBackward:
     def test_dense_bias_gradient_at_zero_parameters(self):
         cfg = ModelConfig(hidden_units=3, num_layers=2, features=4,
@@ -113,6 +160,22 @@ class TestBackward:
         np.testing.assert_allclose(grads["dense.b_out"],
                                    np.array([1 / 3, 1 / 3, 1 / 3]) - target[0],
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("hidden, features",
+                             [(64, 5), (64, 64), (8, 5), (4, 5)])
+    def test_gradient_bits_match_full_width_reference(self, hidden, features):
+        rng = np.random.default_rng(hidden + features)
+        cfg = ModelConfig(hidden_units=hidden, num_layers=2,
+                          features=features, dropout_rate=0.2)
+        model = init_parameters(cfg, seed=features)
+        for batch in (1, 2, 3, 7, 32, 33):
+            x = rng.normal(size=(batch, 10, features))
+            targets = np.eye(3)[rng.integers(0, 3, size=batch)]
+            _, trace = forward_batch(model, x, train=True, rng=rng)
+            got = backward(model, trace, targets)
+            want = reference_backward(model, trace, targets)
+            assert got.keys() == want.keys()
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want), batch
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
