@@ -8,9 +8,9 @@ against a fuzzy-logic baseline.
 
 from .telemetry import (CongestionLevel, DatasetSplit, NormalizationStats,
                         SequenceSample, TelemetryRecord)
-from .controller import ControlAction, PolicyConfig, congestion_score, decide
+from .controller import PolicyConfig, congestion_score, decide
 from .nn import ModelConfig, forward, init_parameters
-from .simulator import LoadScenario, SimConfig
+from .simulator import ControlAction, LoadScenario, SimConfig
 from .training import TrainingConfig, evaluate, train
 
 __version__ = "0.1.0"

@@ -17,27 +17,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import fls, nn
+from .simulator import ControlAction
 from .telemetry import (WINDOW, NormalizationStats, TelemetryRecord,
                         check_fields, records_to_matrix)
-
-
-class ControlAction(Enum):
-    NONE = "none"
-    TRAFFIC_SHAPING = "traffic_shaping"
-    QOS_ADJUSTMENT = "qos_adjustment"
-
-    @classmethod
-    def parse(cls, token: str) -> "ControlAction":
-        return cls(token.strip().lower())
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # expected congestion level of the LOW / MEDIUM / HIGH class probabilities

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import nn, simulator, telemetry, training
-from .controller import (ControlAction, Controller, DecisionEntry,
-                         FlsController, LstmController, PolicyConfig, decide)
-from .simulator import SimConfig
+from .controller import (Controller, DecisionEntry, FlsController,
+                         LstmController, PolicyConfig, decide)
+from .simulator import ControlAction, SimConfig
 
 
 def derive_seed(master_seed: int, label: str) -> int:

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControlAction
 # total_delay is defined next to DelayBreakdown and re-exported here
-from .simulator import IntervalStats, SimConfig, total_delay
+from .simulator import ControlAction, IntervalStats, SimConfig, total_delay
 
 
 @dataclass

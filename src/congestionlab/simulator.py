@@ -42,12 +42,24 @@ from enum import Enum
 
 import numpy as np
 
-from .controller import ControlAction
 from .telemetry import CongestionLevel, TelemetryRecord, check_fields
 
 
 class SimulationError(ValueError):
     pass
+
+
+class ControlAction(Enum):
+    NONE = "none"
+    TRAFFIC_SHAPING = "traffic_shaping"
+    QOS_ADJUSTMENT = "qos_adjustment"
+
+    @classmethod
+    def parse(cls, token: str) -> "ControlAction":
+        return cls(token.strip().lower())
+
+    def __str__(self) -> str:
+        return self.value
 
 
 # a run holds one record per interval and draws every arrival up front
@@ -147,20 +159,6 @@ def total_delay(breakdown: DelayBreakdown) -> float:
             + breakdown.queueing_ms + breakdown.processing_ms)
 
 
-def compute_packet_delay(packet: Packet, config: SimConfig) -> DelayBreakdown:
-    """Four-component delay decomposition for a packet that entered service."""
-    if packet.service_start_s is None:
-        raise SimulationError("delay is only defined for packets that "
-                              "entered service")
-    return DelayBreakdown(
-        propagation_ms=config.propagation_ms,
-        transmission_ms=config.packet_size_bits / config.link_capacity_bps
-        * 1000.0,
-        queueing_ms=(packet.service_start_s - packet.enqueued_s) * 1000.0,
-        processing_ms=config.processing_ms,
-    )
-
-
 def label_congestion(mean_occupancy: float) -> CongestionLevel:
     """Occupancy-threshold labels: <0.4 low, [0.4,0.7) medium, >=0.7 high."""
     if not 0.0 <= mean_occupancy <= 1.0:
@@ -235,39 +233,36 @@ class IntervalStats:
 class SimState:
     config: SimConfig
     queue: deque = field(default_factory=deque)
-    discipline: str = "fifo"             # "fifo" | "priority"
+    action: ControlAction = ControlAction.NONE
     shaper: TokenBucket | None = None
     dropped: int = 0
 
 
 def apply_action(state: SimState, action: ControlAction, now: float = 0.0):
-    """Reconfigure the gateway; actions persist until changed."""
-    config = state.config
-    if action == ControlAction.NONE:
+    """Put `action` in force at the gateway; it persists until changed.
+    Shaping keeps a bucket already installed; the other actions drop it."""
+    if not isinstance(action, ControlAction):
+        raise SimulationError(f"unknown action {action!r}")
+    if action is not ControlAction.TRAFFIC_SHAPING:
         state.shaper = None
-        state.discipline = "fifo"
-    elif action == ControlAction.TRAFFIC_SHAPING:
-        if state.shaper is None:
-            depth = 2.0 * config.packet_size_bits  # two packets' worth
-            state.shaper = TokenBucket(
-                rate_bps=config.shaping_fraction * config.link_capacity_bps,
-                depth_bits=depth, tokens=depth, last_refill_s=now)
-        state.discipline = "fifo"
-    elif action == ControlAction.QOS_ADJUSTMENT:
-        state.shaper = None
-        state.discipline = "priority"
-    else:
-        raise SimulationError(f"unknown action {action}")
+    elif state.shaper is None:
+        config = state.config
+        depth = 2.0 * config.packet_size_bits  # two packets' worth
+        state.shaper = TokenBucket(
+            rate_bps=config.shaping_fraction * config.link_capacity_bps,
+            depth_bits=depth, tokens=depth, last_refill_s=now)
+    state.action = action
 
 
 def enqueue(state: SimState, packet: Packet) -> str:
-    """Drop-tail admission; under priority discipline a high-priority arrival
+    """Drop-tail admission; under QoS adjustment a high-priority arrival
     displaces the newest low-priority packet when the buffer is full.
     Returns "accept" or "drop" (for the arriving packet)."""
     if len(state.queue) < state.config.buffer_packets:
         state.queue.append(packet)
         return "accept"
-    if state.discipline == "priority" and packet.priority == "high":
+    if (state.action is ControlAction.QOS_ADJUSTMENT
+            and packet.priority == "high"):
         for pos in range(len(state.queue) - 1, -1, -1):
             victim = state.queue[pos]
             if victim.priority == "low":
@@ -280,7 +275,7 @@ def enqueue(state: SimState, packet: Packet) -> str:
 
 
 def _next_to_serve(state: SimState) -> Packet:
-    if state.discipline == "priority":
+    if state.action is ControlAction.QOS_ADJUSTMENT:
         for pos in range(len(state.queue)):
             if state.queue[pos].priority == "high":
                 pkt = state.queue[pos]
@@ -327,13 +322,12 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
     last_occ_time = 0.0
     arrival_idx = 0
     service_end = inf  # time the in-service packet finishes
-    current_action = ControlAction.NONE
 
     for interval_idx in range(config.intervals):
         boundary = (interval_idx + 1) * config.telemetry_interval_s
         injected0, dropped0 = injected, state.dropped
         shaper = state.shaper
-        fifo = state.discipline == "fifo"
+        fifo = state.action is not ControlAction.QOS_ADJUSTMENT
         delivered_bits = 0.0
         delays_ms: list[float] = []
         occ_integral = 0.0
@@ -387,7 +381,7 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
             dropped=state.dropped - dropped0,
             delivered_bits=delivered_bits,
             total_delays_ms=delays_ms,
-            action_in_force=current_action,
+            action_in_force=state.action,
         )
         occ_mean = occ_integral / config.telemetry_interval_s / config.buffer_packets
         occ_mean = min(1.0, max(0.0, occ_mean))
@@ -406,10 +400,7 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
         interval_log.append(stats)
 
         if controller_hook is not None:
-            action = controller_hook(record)
-            if action != current_action:
-                apply_action(state, action, now=boundary)
-                current_action = action
+            apply_action(state, controller_hook(record), now=boundary)
 
     counters = {
         "injected": injected,

@@ -22,6 +22,8 @@ from .nn import ForwardTrace, ModelParameters, forward_batch, parameter_items
 CE_FLOOR = 1e-12
 # Adam's moment decays and denominator floor (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# nats a validation loss must beat the best by to reset the patience count
+MIN_DELTA = 1e-4
 
 
 class TrainingDivergedError(RuntimeError):
@@ -301,7 +303,14 @@ def evaluate(model: ModelParameters, samples: list[SequenceSample]
 def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
           ) -> tuple[ModelParameters, TrainingReport]:
     """Mini-batch Adam training with per-epoch validation and early stopping
-    on validation loss; returns the best-validation checkpoint."""
+    on validation loss; returns the best-validation checkpoint.
+
+    Patience runs out after `config.patience` epochs in a row that do not
+    beat the best validation loss by more than MIN_DELTA.  Once the
+    classifier fits, the loss keeps falling geometrically by far less than
+    that, and without the floor each tiny gain would reset the count and
+    train to `max_epochs` for no measurable change.  The checkpoint
+    returned is still the lowest loss seen, however small its margin."""
     if not splits.train or not splits.validation:
         raise ValueError("train and validation splits must be non-empty")
     rng = np.random.default_rng(config.seed)
@@ -341,14 +350,15 @@ def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
         report.val_accuracy.append(
             EvaluationResult.of(val_probs, val_targets).accuracy)
 
+        if val_loss < best_loss - MIN_DELTA:
+            epochs_since_best = 0
+        else:
+            epochs_since_best += 1
         if val_loss < best_loss:
             best_loss = val_loss
             best_params = model.copy()
             report.best_epoch = epoch
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
+        if epochs_since_best >= config.patience:
+            break
 
     return best_params, report

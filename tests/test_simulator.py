@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from congestionlab import simulator, telemetry
-from congestionlab.controller import ControlAction
-from congestionlab.simulator import (LoadScenario, Packet, SimConfig,
+from congestionlab.simulator import (ControlAction, DelayBreakdown,
+                                     LoadScenario, Packet, SimConfig,
                                      SimState, SimulationError, TokenBucket,
-                                     apply_action, compute_packet_delay,
-                                     enqueue, label_congestion, run,
-                                     schedule_arrivals)
+                                     apply_action, enqueue, label_congestion,
+                                     run, schedule_arrivals)
 from congestionlab.telemetry import CongestionLevel
 
 
@@ -180,7 +179,7 @@ class TestQueueOps:
 
     def test_priority_displacement(self):
         state = SimState(config=SimConfig(buffer_packets=2),
-                         discipline="priority")
+                         action=ControlAction.QOS_ADJUSTMENT)
         victim = self.make_packet()
         enqueue(state, victim)
         newest_low = self.make_packet()
@@ -196,9 +195,24 @@ class TestQueueOps:
 
     def test_priority_arrival_into_all_high_queue_drops(self):
         state = SimState(config=SimConfig(buffer_packets=1),
-                         discipline="priority")
+                         action=ControlAction.QOS_ADJUSTMENT)
         enqueue(state, self.make_packet(priority="high"))
         assert enqueue(state, self.make_packet(priority="high")) == "drop"
+
+
+def compute_packet_delay(packet, config):
+    """Reference for run's inline delay: the four-component decomposition
+    of a packet that entered service."""
+    if packet.service_start_s is None:
+        raise SimulationError("delay is only defined for packets that "
+                              "entered service")
+    return DelayBreakdown(
+        propagation_ms=config.propagation_ms,
+        transmission_ms=config.packet_size_bits / config.link_capacity_bps
+        * 1000.0,
+        queueing_ms=(packet.service_start_s - packet.enqueued_s) * 1000.0,
+        processing_ms=config.processing_ms,
+    )
 
 
 class TestDelayAndLabels:
@@ -261,13 +275,14 @@ class TestTokenBucket:
 class TestActions:
     def test_none_restores_fifo(self):
         state = SimState(config=SimConfig())
+        assert state.action is ControlAction.NONE
         apply_action(state, ControlAction.QOS_ADJUSTMENT)
         apply_action(state, ControlAction.NONE)
-        assert state.discipline == "fifo"
+        assert state.action is ControlAction.NONE
         assert state.shaper is None
         # idempotent
         apply_action(state, ControlAction.NONE)
-        assert state.discipline == "fifo"
+        assert state.action is ControlAction.NONE
 
     def test_shaping_installs_bucket_once(self):
         state = SimState(config=SimConfig())
@@ -277,12 +292,24 @@ class TestActions:
         assert bucket.rate_bps == pytest.approx(0.8 * 100_000.0)
         apply_action(state, ControlAction.TRAFFIC_SHAPING, now=6.0)
         assert state.shaper is bucket
+        assert state.action is ControlAction.TRAFFIC_SHAPING
 
     def test_qos_switches_discipline(self):
         state = SimState(config=SimConfig())
+        apply_action(state, ControlAction.TRAFFIC_SHAPING)
         apply_action(state, ControlAction.QOS_ADJUSTMENT)
-        assert state.discipline == "priority"
+        assert state.action is ControlAction.QOS_ADJUSTMENT
         assert state.shaper is None
+
+    @pytest.mark.parametrize("action", [None, "traffic_shaping", 7])
+    def test_non_action_refused_before_any_change(self, action):
+        state = SimState(config=SimConfig())
+        apply_action(state, ControlAction.TRAFFIC_SHAPING, now=5.0)
+        bucket = state.shaper
+        with pytest.raises(SimulationError, match="unknown action"):
+            apply_action(state, action)
+        assert state.action is ControlAction.TRAFFIC_SHAPING
+        assert state.shaper is bucket
 
 
 def reference_run(config, controller_hook=None):

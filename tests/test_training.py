@@ -12,7 +12,7 @@ from congestionlab.nn import (ModelConfig, flatten_parameters, forward,
                               parameter_count, parameter_items,
                               unflatten_parameters)
 from congestionlab.telemetry import CongestionLevel, DatasetSplit, SequenceSample
-from congestionlab.training import (AdamState, EvaluationResult,
+from congestionlab.training import (MIN_DELTA, AdamState, EvaluationResult,
                                     TrainingConfig, TrainingDivergedError,
                                     adam_step, backward,
                                     batch_loss, clip_gradients,
@@ -420,6 +420,29 @@ class TestTrainLoop:
         cfg = TrainingConfig(max_epochs=50, batch_size=4, patience=1, seed=0)
         _, report = train(model, split, cfg)
         assert report.stopping_epoch == 2
+
+    def test_stops_once_gains_fall_below_min_delta(self):
+        # at lr 0.1 the toy fits in a few epochs; the validation loss then
+        # keeps falling, by less than MIN_DELTA an epoch
+        split = toy_split(40)
+        model = init_parameters(self.small_config(), seed=2)
+        cfg = TrainingConfig(learning_rate=0.1, max_epochs=60, batch_size=16,
+                             patience=3, seed=3)
+        _, report = train(model, split, cfg)
+        losses = report.val_loss
+        # every epoch sets a new best, so a strict `<` alone never stops
+        assert all(b < a for a, b in zip(losses, losses[1:]))
+        # the first epoch that closes `patience` gains in a row of at most
+        # MIN_DELTA each
+        expected = next(
+            epoch for epoch in range(cfg.patience + 1, cfg.max_epochs + 1)
+            if all(losses[k - 2] - losses[k - 1] <= MIN_DELTA
+                   for k in range(epoch - cfg.patience + 1, epoch + 1)))
+        assert report.stopping_epoch == expected < cfg.max_epochs
+        assert report.best_epoch == expected
+        # the text the train command writes to training_report.txt
+        assert report.to_text().endswith(
+            f"stopping_epoch {expected}\nbest_epoch {expected}\n")
 
     def test_same_seed_identical_report(self):
         split = toy_split(20)
