@@ -10,8 +10,10 @@ model.features, model.classes) are refused, as is any unknown key such as
 window (telemetry.WINDOW); any ConfigError surfaces before a command writes
 output.  evaluate reads no config, only its checkpoint.  compare likewise
 refuses a report.json field of the wrong type or a non-finite number, and a
-pair of reports whose scenario, seed or config digest differ.  Every command
-is deterministic under the master seed.
+pair of reports whose scenario, seed or config digest differ.  replay feeds
+every decision-log row to the controller's policy step, so an unscored row
+must record none, and a log with a header and no rows is an error.  Every
+command is deterministic under the master seed.
 
 Exit codes: 0 success, 1 usage/config error (argparse's usage errors too),
 2 acceptance-check failure (replay mismatch or training divergence).
@@ -254,26 +256,20 @@ def cmd_replay(args) -> int:
             rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{args.log}: cannot read ({exc})") from None
-    raw_threshold = rows[0]["threshold"] if rows else "0.5"
+    if not rows:
+        raise ConfigError(f"{args.log}: no decisions, only a header")
     try:
-        # the same (0,1) range the run's PolicyConfig enforced
-        threshold = PolicyConfig(threshold=float(raw_threshold)).threshold
-    except (TypeError, ValueError):
-        raise ConfigError(f"{args.log}: row 0: bad threshold "
-                          f"{raw_threshold!r}") from None
-    try:
-        mismatches = experiment.replay_decisions(rows, threshold=threshold)
+        mismatches = experiment.replay_decisions(rows)
     except ValueError as exc:
         raise ConfigError(f"{args.log}: {exc}") from None
-    checked = sum(1 for r in rows if r["score"] not in ("", None))
     if mismatches:
         for idx, recorded, recomputed in mismatches:
             print(f"row {idx}: recorded {recorded}, recomputed {recomputed}",
                   file=sys.stderr)
-        print(f"{len(mismatches)}/{checked} decisions inconsistent",
+        print(f"{len(mismatches)}/{len(rows)} decisions inconsistent",
               file=sys.stderr)
         return 2
-    print(f"{checked} decisions replayed, all consistent")
+    print(f"{len(rows)} decisions replayed, all consistent")
     return 0
 
 
@@ -318,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("reports", nargs="+")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("replay", help="re-check a decision log against decide()")
+    p = sub.add_parser("replay", help="re-run a decision log's policy steps")
     p.add_argument("log")
     p.set_defaults(func=cmd_replay)
     return parser

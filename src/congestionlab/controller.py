@@ -82,11 +82,15 @@ class Controller:
 
     def control_step(self, record: TelemetryRecord) -> ControlAction:
         self.window.append(record)
-        if self.score_window is None or len(self.window) < self.window.maxlen:
-            self.last_score = None
-            return ControlAction.NONE
-        score = round(self.score_window(self.window), SCORE_DECIMALS)
-        action = decide(score, self.last_score, self.policy.threshold)
+        score = None
+        if self.score_window and len(self.window) == self.window.maxlen:
+            score = round(self.score_window(self.window), SCORE_DECIMALS)
+        return self.act(score)
+
+    def act(self, score: float | None) -> ControlAction:
+        """The policy half of a step, which replay runs on its own."""
+        action = (ControlAction.NONE if score is None
+                  else decide(score, self.last_score, self.policy.threshold))
         self.last_score = score
         return action
 

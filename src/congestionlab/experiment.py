@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import nn, simulator, telemetry, training
 from .controller import (Controller, DecisionEntry, FlsController,
-                         LstmController, PolicyConfig, decide)
+                         LstmController, PolicyConfig)
 from .simulator import ControlAction, SimConfig
 
 
@@ -113,28 +113,27 @@ def run_experiment(sim_config: SimConfig,
     return ExperimentRun(report=report, decisions=decisions, sim_result=result)
 
 
-def replay_decisions(rows: list[dict], threshold: float = 0.5
+def replay_decisions(rows: list[dict], threshold: float | None = None
                      ) -> list[tuple[int, ControlAction, ControlAction]]:
-    """Re-run decide() over a decision-log score column; returns mismatches
-    as (row_index, recorded, recomputed).  Warm-up rows (empty score) are
-    skipped.  A bad score or action, or a recorded threshold other than
-    `threshold`, raises ValueError naming the row."""
+    """Feed every row's score (None when empty) to one Controller's policy step
+    at `threshold`, else row 0's; returns (row_index, recorded, recomputed)
+    mismatches.  A bad or differing value raises ValueError naming the row."""
     mismatches = []
-    previous = None
     for idx, row in enumerate(rows):
         try:
-            if "threshold" in row and float(row["threshold"]) != threshold:
+            logged = float(row["threshold"])
+            if idx == 0:
+                policy = PolicyConfig(
+                    logged if threshold is None else threshold)
+                controller = Controller(policy=policy)
+            if logged != policy.threshold:
                 raise ValueError(f"threshold {row['threshold']!r} differs "
-                                 f"from the log's {threshold}")
-            if row["score"] in ("", None):
-                previous = None
-                continue
-            score = float(row["score"])
-            recomputed = decide(score, previous, threshold)
+                                 f"from the log's {policy.threshold}")
+            recomputed = controller.act(
+                float(row["score"]) if row["score"] else None)
             recorded = ControlAction.parse(row["action"] or "")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"row {idx}: {exc}") from None
         if recorded != recomputed:
             mismatches.append((idx, recorded, recomputed))
-        previous = score
     return mismatches

@@ -310,6 +310,33 @@ class TestRunExperimentCompareReplay:
             "10.0,0.900000,0.500000,none,50.0,lstm\n")
         assert main(["replay", str(log)]) == 2
 
+    @pytest.mark.parametrize("predictor, row, action", [
+        ("none", 5, "traffic_shaping"),  # no row of a none run is scored
+        ("fls", 0, "qos_adjustment"),    # the first row is a warm-up row
+    ], ids=["none", "fls-warm-up"])
+    def test_replay_checks_unscored_rows(self, tmp_path, capsys, predictor,
+                                         row, action):
+        out = tmp_path / "exp"
+        assert main(["run-experiment", "--predictor", predictor,
+                     "--scenario", "high", "--out-dir", str(out),
+                     *FAST_SIM]) == 0
+        log = out / f"high_{predictor}" / "decisions.csv"
+        capsys.readouterr()
+        assert main(["replay", str(log)]) == 0
+        # 40 s at 1 s intervals: the summary counts all 40 rows, scored or not
+        assert capsys.readouterr().out == \
+            "40 decisions replayed, all consistent\n"
+        lines = log.read_text().splitlines()
+        fields = lines[row + 1].split(",")
+        assert fields[1] == ""  # unscored
+        fields[3] = action
+        lines[row + 1] = ",".join(fields)
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["replay", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert f"row {row}: recorded {action}, recomputed none" in err
+        assert "1/40 decisions inconsistent" in err
+
     @pytest.mark.parametrize("source", ["set", "config"])
     def test_window_is_not_a_setting(self, pipeline, tmp_path, capsys, source):
         out = tmp_path / "out"
@@ -325,6 +352,16 @@ class TestRunExperimentCompareReplay:
         assert captured.out == ""
         assert "'window'" in captured.err
         assert not out.exists()
+
+    def test_replay_header_only_is_error(self, tmp_path, capsys):
+        # every run logs one row per interval: no rows means a cut file
+        log = tmp_path / "decisions.csv"
+        log.write_text("time_s,score,threshold,action,throughput_kbps,"
+                       "predictor\n")
+        assert main(["replay", str(log)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "no decisions" in out.err
 
     def test_replay_missing_columns_is_error(self, tmp_path):
         log = tmp_path / "decisions.csv"

@@ -172,16 +172,18 @@ class TestDecisionLog:
 
     def test_replay_consistent_log(self):
         rows = [
-            {"score": "", "action": "none"},
-            {"score": "0.15", "action": "none"},
-            {"score": "0.68", "action": "traffic_shaping"},
-            {"score": "0.50", "action": "qos_adjustment"},
+            {"score": "", "threshold": "0.500000", "action": "none"},
+            {"score": "0.15", "threshold": "0.500000", "action": "none"},
+            {"score": "0.68", "threshold": "0.500000",
+             "action": "traffic_shaping"},
+            {"score": "0.50", "threshold": "0.500000",
+             "action": "qos_adjustment"},
         ]
         assert experiment.replay_decisions(rows) == []
 
     def test_replay_flags_mismatch(self):
         rows = [
-            {"score": "0.68", "action": "none"},
+            {"score": "0.68", "threshold": "0.500000", "action": "none"},
         ]
         mismatches = experiment.replay_decisions(rows)
         assert len(mismatches) == 1
@@ -191,9 +193,42 @@ class TestDecisionLog:
         assert recomputed == ControlAction.TRAFFIC_SHAPING
 
     def test_replay_all_low_scores(self):
-        rows = [{"score": f"{0.1 * k:.2f}", "action": "none"}
-                for k in range(1, 5)]
+        rows = [{"score": f"{0.1 * k:.2f}", "threshold": "0.500000",
+                 "action": "none"} for k in range(1, 5)]
         assert experiment.replay_decisions(rows) == []
 
     def test_replay_empty_log(self):
         assert experiment.replay_decisions([]) == []
+
+    def test_replay_checks_unscored_rows(self):
+        # a row with no score is a step without a decision: only none fits
+        rows = [
+            {"score": "0.68", "threshold": "0.500000",
+             "action": "traffic_shaping"},
+            {"score": "", "threshold": "0.500000",
+             "action": "traffic_shaping"},
+        ]
+        assert experiment.replay_decisions(rows) == [
+            (1, ControlAction.TRAFFIC_SHAPING, ControlAction.NONE)]
+
+    def test_replay_parses_unscored_rows(self):
+        rows = [
+            {"score": "", "threshold": "0.500000", "action": "none"},
+            {"score": "", "threshold": "0.500000", "action": "garbage"},
+        ]
+        with pytest.raises(ValueError, match="row 1"):
+            experiment.replay_decisions(rows)
+
+    def test_replay_runs_the_controller_act(self, monkeypatch):
+        # replay holds no policy of its own: it runs Controller.act
+        calls = []
+        real = Controller.act
+
+        def spy(self, score):
+            calls.append(score)
+            return real(self, score)
+        monkeypatch.setattr(Controller, "act", spy)
+        rows = [{"score": score, "threshold": "0.500000", "action": "none"}
+                for score in ("", "0.10", "")]
+        assert experiment.replay_decisions(rows) == []
+        assert calls == [None, 0.10, None]
