@@ -7,16 +7,18 @@ layer's input width.  The classifier reads only the final step's top-layer
 hidden state through a dense softmax head.  Dropout (inverted, train-time
 scaled) sits between the two recurrent layers.
 
-`forward_batch` is the only implementation of the recurrence.  It runs a
-(B, T, F) batch from a zero initial state and keeps a full trace (gate
+There is one recurrence, run over a (B, T, F) batch from a zero initial
+state, with two entry points.  `forward_batch` keeps a full trace (gate
 activations, cell states, dropout masks) so backpropagation through time can
 be run over it afterwards; `forward` is the same call at B=1 for one (T, F)
-window.  All arrays are float64.
+window.  `predict` returns only the inference-mode probabilities, with the
+same bits: it keeps one step of z, gates and c, and h for the next layer.
+All arrays are float64.
 
 Each step makes one matmul for all four gate pre-activations, then one
-`sigmoid` call over all four, written straight into the trace; `tanh` then
-overwrites gate 2 (c~) in place.  Both activations are elementwise, so this
-gives the same bits as activating each gate on its own.
+`sigmoid` call over all four, written straight into the gate array; `tanh`
+then overwrites gate 2 (c~) in place.  Both activations are elementwise, so
+this gives the same bits as activating each gate on its own.
 """
 
 from __future__ import annotations
@@ -165,16 +167,16 @@ def dense_softmax(params: DenseParameters, h: np.ndarray) -> np.ndarray:
     return softmax(logits)
 
 
-def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = False,
-                  rng: np.random.Generator | None = None,
-                  dropout_masks: list[np.ndarray] | None = None
-                  ) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the stacked network over a (B, T, F) batch.
+def _recur(model: ModelParameters, inputs: np.ndarray, keep_trace: bool,
+           train: bool = False, rng: np.random.Generator | None = None,
+           dropout_masks: list[np.ndarray] | None = None
+           ) -> tuple[np.ndarray, ForwardTrace | None]:
+    """The one recurrence behind forward_batch (keep_trace) and predict.
 
-    In train mode at a dropout rate above 0, each inter-layer mask is reused
-    from `dropout_masks` (e.g. when re-evaluating the loss for a
-    finite-difference probe) or drawn from `rng`, and kept in the trace;
-    otherwise dropout is the identity and the trace holds no mask.
+    With the trace, step t's z, gates and new c sit at index t, t and t + 1
+    of arrays that are kept.  Without it, every step reuses one slot of
+    each (c is updated in place) and only h keeps all T+1 steps, as the
+    next layer's input; the arithmetic, and so every bit, is the same.
     """
     cfg = model.config
     inputs = np.asarray(inputs, dtype=float)
@@ -183,40 +185,47 @@ def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = Fals
     batch, steps, _ = inputs.shape
     hid, rate = cfg.hidden_units, cfg.dropout_rate
     dropout = train and rate > 0.0
+    kept = steps if keep_trace else 1
 
-    trace = ForwardTrace(inputs=inputs, layer_z=[], layer_gates=[],
-                         layer_h=[], layer_c=[])
+    trace = (ForwardTrace(inputs=inputs, layer_z=[], layer_gates=[],
+                          layer_h=[], layer_c=[]) if keep_trace else None)
 
     layer_input = inputs.transpose(1, 0, 2)  # (T, B, D)
     for layer_idx, lp in enumerate(model.layers):
         w_t, b = lp.w.transpose(0, 2, 1), lp.b[:, None]
-        # z_all[t] is [h_t, x_t]: the inputs go in once, each h_{t+1} is
+        # z_all[t] is [h_t, x_t]: a kept z takes the inputs in once, a
+        # one-step z takes each x_t as its step comes; each h_{t+1} is
         # written into the next step's slot as it is computed
-        z_all = np.empty((steps, batch, hid + lp.input_width))
-        z_all[:, :, hid:] = layer_input
+        z_all = np.empty((kept, batch, hid + lp.input_width))
+        if keep_trace:
+            z_all[:, :, hid:] = layer_input
         z_all[0, :, :hid] = 0.0
-        gates_all = np.empty((steps, 4, batch, hid))
+        gates_all = np.empty((kept, 4, batch, hid))
         h_all = np.empty((steps + 1, batch, hid))
-        c_all = np.empty((steps + 1, batch, hid))
+        c_all = np.empty((steps + 1 if keep_trace else 1, batch, hid))
         h_all[0] = c_all[0] = 0.0
         ic = np.empty((batch, hid))  # i * c~, reused by every step
         for t in range(steps):
-            a = z_all[t] @ w_t  # (4, B, H) pre-activations
+            s, nxt = (t, t + 1) if keep_trace else (0, 0)
+            if not keep_trace:
+                z_all[0, :, hid:] = layer_input[t]
+            a = z_all[s] @ w_t  # (4, B, H) pre-activations
             a += b
-            gates = sigmoid(a, out=gates_all[t])
+            gates = sigmoid(a, out=gates_all[s])
             np.tanh(a[2], out=gates[2])
             i, f, c_tilde, o = gates
-            c, h = c_all[t + 1], h_all[t + 1]
-            np.multiply(f, c_all[t], out=c)
+            c, h = c_all[nxt], h_all[t + 1]
+            np.multiply(f, c_all[s], out=c)
             c += np.multiply(i, c_tilde, out=ic)
             np.tanh(c, out=h)
             h *= o
-            if t + 1 < steps:
-                z_all[t + 1, :, :hid] = h
-        trace.layer_z.append(z_all)
-        trace.layer_gates.append(gates_all)
-        trace.layer_h.append(h_all)
-        trace.layer_c.append(c_all)
+            if nxt < kept:
+                z_all[nxt, :, :hid] = h
+        if keep_trace:
+            trace.layer_z.append(z_all)
+            trace.layer_gates.append(gates_all)
+            trace.layer_h.append(h_all)
+            trace.layer_c.append(c_all)
 
         layer_input = h_all[1:]  # (T, B, H)
         if dropout and layer_idx < len(model.layers) - 1:
@@ -229,11 +238,32 @@ def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = Fals
             layer_input = layer_input * mask
             trace.dropout_masks.append(mask)
 
-    final_h = trace.layer_h[-1][-1]  # (B, H)
+    final_h = h_all[-1]  # (B, H)
     probs = dense_softmax(model.dense, final_h)
-    trace.final_hidden = final_h
-    trace.probabilities = probs
+    if keep_trace:
+        trace.final_hidden = final_h
+        trace.probabilities = probs
     return probs, trace
+
+
+def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = False,
+                  rng: np.random.Generator | None = None,
+                  dropout_masks: list[np.ndarray] | None = None
+                  ) -> tuple[np.ndarray, ForwardTrace]:
+    """Run the stacked network over a (B, T, F) batch and keep its trace.
+
+    In train mode at a dropout rate above 0, each inter-layer mask is reused
+    from `dropout_masks` (e.g. when re-evaluating the loss for a
+    finite-difference probe) or drawn from `rng`, and kept in the trace;
+    otherwise dropout is the identity and the trace holds no mask.
+    """
+    return _recur(model, inputs, True, train, rng, dropout_masks)
+
+
+def predict(model: ModelParameters, inputs: np.ndarray) -> np.ndarray:
+    """Inference-mode (B, C) class probabilities of a (B, T, F) batch, the
+    bits of forward_batch's, with no trace kept."""
+    return _recur(model, inputs, False)[0]
 
 
 def forward(model: ModelParameters, sample_inputs: np.ndarray, train: bool = False,

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import nn
 from .telemetry import DatasetSplit, SequenceSample, check_fields
-from .nn import ForwardTrace, ModelParameters, forward_batch, parameter_items
+from .nn import (ForwardTrace, ModelParameters, forward_batch, parameter_items,
+                 predict)
 
 CE_FLOOR = 1e-12
 # Adam's moment decays and denominator floor (Kingma & Ba's defaults)
@@ -180,10 +181,13 @@ def batch_loss(model: ModelParameters, inputs: np.ndarray, targets: np.ndarray,
                ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a (B, T, F) batch, and the probabilities.
 
-    Runs in train mode, through the given masks, exactly when
-    `dropout_masks` is given; the forward trace is dropped on return."""
-    probs, _ = forward_batch(model, inputs, train=dropout_masks is not None,
-                             dropout_masks=dropout_masks)
+    With `dropout_masks` it runs forward_batch in train mode through those
+    masks; without, it runs predict, which keeps no trace."""
+    if dropout_masks is None:
+        probs = predict(model, inputs)
+    else:
+        probs, _ = forward_batch(model, inputs, train=True,
+                                 dropout_masks=dropout_masks)
     return cross_entropy(probs, targets) / len(inputs), probs
 
 
@@ -296,8 +300,7 @@ def evaluate(model: ModelParameters, samples: list[SequenceSample]
     if not samples:
         raise ValueError("cannot evaluate on an empty sample set")
     inputs, targets = stack_samples(samples)
-    probs, _ = forward_batch(model, inputs, train=False)
-    return EvaluationResult.of(probs, targets)
+    return EvaluationResult.of(predict(model, inputs), targets)
 
 
 def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig

@@ -411,6 +411,30 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.zeros((4, 7)))
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("hidden", [4, 64])
+    def test_predict_bits_match_reference_eval(self, layers, hidden):
+        rng = np.random.default_rng(10 * layers + hidden)
+        cfg = ModelConfig(hidden_units=hidden, num_layers=layers, features=5,
+                          dropout_rate=0.2)
+        model = init_parameters(cfg, seed=layers)
+        # the saturating biases and wide inputs of the trace bit test
+        for lp in model.layers:
+            lp.b[...] = rng.normal(scale=4.0, size=lp.b.shape)
+        for batch in (1, 2, 3, 32, 33, 510):
+            x = rng.normal(scale=5.0, size=(batch, 10, 5))
+            want, _ = reference_forward_batch(model, x, train=False)
+            assert nn.predict(model, x).tobytes() == want.tobytes()
+
+    def test_predict_rejects_what_forward_batch_rejects(self):
+        model = init_parameters(ModelConfig(hidden_units=2, features=3), seed=0)
+        for bad in (np.zeros((4, 3)), np.zeros((1, 4, 7))):
+            with pytest.raises(ValueError) as traced:
+                forward_batch(model, bad)
+            with pytest.raises(ValueError) as untraced:
+                nn.predict(model, bad)
+            assert str(untraced.value) == str(traced.value)
+
 
 class TestDenseAndPrediction:
     def test_dense_softmax_is_softmax_of_affine(self):

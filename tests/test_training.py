@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from congestionlab.nn import (ModelConfig, flatten_parameters, forward,
                               forward_batch, init_parameters,
                               parameter_count, parameter_items,
                               unflatten_parameters)
-from congestionlab.telemetry import CongestionLevel, DatasetSplit, SequenceSample
+from congestionlab.telemetry import (FEATURE_COUNT, WINDOW, CongestionLevel,
+                                     DatasetSplit, SequenceSample)
 from congestionlab.training import (MIN_DELTA, AdamState, EvaluationResult,
                                     TrainingConfig, TrainingDivergedError,
                                     adam_step, backward,
@@ -468,18 +470,24 @@ class TestTrainLoop:
     def test_one_validation_forward_per_epoch(self, monkeypatch):
         split = toy_split(20)
         val_inputs, _ = training.stack_samples(split.validation)
-        calls = []
+        predicted, traced = [], []
 
-        def counting(model, inputs, *args, **kwargs):
-            calls.append(np.array_equal(inputs, val_inputs))
-            return forward_batch(model, inputs, *args, **kwargs)
+        def counting(calls, fn):
+            def wrapper(model, inputs, *args, **kwargs):
+                calls.append(np.array_equal(inputs, val_inputs))
+                return fn(model, inputs, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(training, "forward_batch", counting)
+        # validation runs the trace-free predict, never forward_batch
+        monkeypatch.setattr(training, "predict", counting(predicted, nn.predict))
+        monkeypatch.setattr(training, "forward_batch",
+                            counting(traced, forward_batch))
         model = init_parameters(self.small_config(), seed=2)
         cfg = TrainingConfig(max_epochs=3, batch_size=8, patience=3, seed=3)
         _, report = train(model, split, cfg)
         assert report.stopping_epoch == cfg.max_epochs
-        assert sum(calls) == cfg.max_epochs
+        assert sum(predicted) == cfg.max_epochs
+        assert traced and not any(traced)
 
     def test_report_records_max_pre_clip_norm_per_epoch(self, monkeypatch):
         split = toy_split(20)
@@ -547,6 +555,28 @@ class TestEvaluate:
                                 seed=0)
         with pytest.raises(ValueError):
             evaluate(model, [])
+
+
+class TestInferenceMemory:
+    def test_validation_loss_allocates_at_most_half_a_traced_forward(self):
+        # numpy reports its buffers to tracemalloc, and their sizes depend
+        # only on the shapes, so the two peaks are exact
+        model = init_parameters(ModelConfig(), seed=0)
+        rng = np.random.default_rng(0)
+        inputs = rng.normal(size=(510, WINDOW, FEATURE_COUNT))
+        targets = np.eye(len(CongestionLevel))[rng.integers(0, 3, size=510)]
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced = peak(lambda: forward_batch(model, inputs))
+        untraced = peak(lambda: batch_loss(model, inputs, targets))
+        assert untraced <= traced / 2
 
 
 def scored_as(probs, levels) -> EvaluationResult:
