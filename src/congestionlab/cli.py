@@ -12,7 +12,9 @@ output.  evaluate reads no config, only its checkpoint.  compare likewise
 refuses a report.json field of the wrong type or a non-finite number, and a
 pair of reports whose scenario, seed or config digest differ.  replay feeds
 every decision-log row to the controller's policy step, so an unscored row
-must record none, and a log with a header and no rows is an error.  Every
+must record none; a log with a header and no rows, a row with missing or
+extra fields, a time_s that is not finite or not strictly increasing and a
+throughput_kbps that is not finite or is negative are errors.  Every
 command is deterministic under the master seed.
 
 Exit codes: 0 success, 1 usage/config error (argparse's usage errors too),
@@ -25,6 +27,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -245,6 +248,30 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def check_log_rows(rows: list[dict]) -> None:
+    """The decision log's own row format, which replay_decisions does not
+    read: each row has exactly the header's fields, time_s is finite and
+    strictly increasing, and throughput_kbps is finite and non-negative.
+    Raises ValueError naming the first bad row."""
+    previous = -math.inf
+    for idx, row in enumerate(rows):
+        if None in row or None in row.values():  # DictReader's fill-ins
+            raise ValueError(f"row {idx}: missing or extra fields")
+        try:
+            time_s = float(row["time_s"])
+            kbps = float(row["throughput_kbps"])
+        except ValueError as exc:
+            raise ValueError(f"row {idx}: {exc}") from None
+        if not (math.isfinite(time_s) and time_s > previous):
+            raise ValueError(f"row {idx}: time_s {row['time_s']!r} is not "
+                             f"a finite time after the previous row's")
+        if not (math.isfinite(kbps) and kbps >= 0):
+            raise ValueError(f"row {idx}: throughput_kbps "
+                             f"{row['throughput_kbps']!r} is not a finite "
+                             f"non-negative number")
+        previous = time_s
+
+
 def cmd_replay(args) -> int:
     try:
         with open(args.log, "r", encoding="utf-8", newline="") as fh:
@@ -259,6 +286,7 @@ def cmd_replay(args) -> int:
     if not rows:
         raise ConfigError(f"{args.log}: no decisions, only a header")
     try:
+        check_log_rows(rows)
         mismatches = experiment.replay_decisions(rows)
     except ValueError as exc:
         raise ConfigError(f"{args.log}: {exc}") from None

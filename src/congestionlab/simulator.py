@@ -16,6 +16,11 @@ raises SimulationError):
   low-priority packet when the buffer is full.
 * NONE restores full-rate FIFO service.
 
+The queue is two FIFOs of enqueue times, `SimState.high` and `SimState.low`:
+the FIFO a packet waits in is its class, and both share `buffer_packets`.
+FIFO service takes the older of the two heads; QoS takes `high`'s head
+whenever it has one.
+
 Each device draws its exponential arrival gaps from its own substream of
 the seed in one call and sums them in order; the devices merge by (time,
 device).  Per-packet delay is ((propagation + transmission) + queueing) +
@@ -24,7 +29,7 @@ Runs are deterministic under (config, seed).
 Event order: a departure tied with an arrival goes first, and an event at
 an interval boundary counts in the next interval.  An arrival at an idle
 link enters service at once; at a busy link it goes through `enqueue`, the
-one admission and displacement rule.  QoS picks via `_next_to_serve`.
+one admission and displacement rule.
 
 Every packet is `SimConfig.packet_size_bits` long.  `run` returns a
 SimResult carrying only aggregates: one TelemetryRecord and one IntervalStats
@@ -132,13 +137,6 @@ class SimConfig:
         return int(round(self.duration_s / self.telemetry_interval_s))
 
 
-@dataclass(slots=True)
-class Packet:
-    enqueued_s: float
-    priority: str = "low"            # "high" = delay-sensitive class
-    service_start_s: float | None = None
-
-
 @dataclass
 class DelayBreakdown:
     propagation_ms: float
@@ -232,7 +230,9 @@ class IntervalStats:
 @dataclass
 class SimState:
     config: SimConfig
-    queue: deque = field(default_factory=deque)
+    # enqueue times of the queued packets of each class, oldest first
+    high: deque = field(default_factory=deque)
+    low: deque = field(default_factory=deque)
     action: ControlAction = ControlAction.NONE
     shaper: TokenBucket | None = None
     dropped: int = 0
@@ -254,34 +254,19 @@ def apply_action(state: SimState, action: ControlAction, now: float = 0.0):
     state.action = action
 
 
-def enqueue(state: SimState, packet: Packet) -> str:
-    """Drop-tail admission; under QoS adjustment a high-priority arrival
-    displaces the newest low-priority packet when the buffer is full.
-    Returns "accept" or "drop" (for the arriving packet)."""
-    if len(state.queue) < state.config.buffer_packets:
-        state.queue.append(packet)
-        return "accept"
-    if (state.action is ControlAction.QOS_ADJUSTMENT
-            and packet.priority == "high"):
-        for pos in range(len(state.queue) - 1, -1, -1):
-            victim = state.queue[pos]
-            if victim.priority == "low":
-                del state.queue[pos]
-                state.dropped += 1
-                state.queue.append(packet)
-                return "accept"
-    state.dropped += 1
-    return "drop"
-
-
-def _next_to_serve(state: SimState) -> Packet:
-    if state.action is ControlAction.QOS_ADJUSTMENT:
-        for pos in range(len(state.queue)):
-            if state.queue[pos].priority == "high":
-                pkt = state.queue[pos]
-                del state.queue[pos]
-                return pkt
-    return state.queue.popleft()
+def enqueue(state: SimState, arrival_s: float, high: bool) -> bool:
+    """Drop-tail admission into the arrival's class FIFO; under QoS
+    adjustment a high-priority arrival at a full buffer displaces the newest
+    low-priority packet.  Returns whether the arrival was admitted."""
+    if len(state.high) + len(state.low) < state.config.buffer_packets:
+        (state.high if high else state.low).append(arrival_s)
+        return True
+    state.dropped += 1  # the arrival, or the packet it displaces
+    if high and state.low and state.action is ControlAction.QOS_ADJUSTMENT:
+        state.low.pop()
+        state.high.append(arrival_s)
+        return True
+    return False
 
 
 @dataclass
@@ -297,37 +282,36 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
     `controller_hook(record)` is invoked after each telemetry interval and
     must return a ControlAction, which is applied before the next interval
     starts; any other return raises SimulationError.
-    Ties go to the departure, which starts the next service from the queue;
-    an arrival at an idle link is served at once, at a busy one `enqueue`d.
+    Ties go to the departure, which starts the next service: the head of
+    `high` under QoS or when it is not later than `low`'s, else `low`'s.  An
+    arrival at an idle link is served at once, at a busy one `enqueue`d.
     """
     times, devices = schedule_arrivals(config)
     high_priority_devices = int(round(config.priority_fraction
                                       * config.device_count))
     inf = float("inf")
     arrival_times = times.tolist() + [inf]
-    is_high = (devices < high_priority_devices).astype(int)
-    priorities = np.array(["low", "high"], dtype=object)[is_high].tolist()
+    is_high = (devices < high_priority_devices).tolist()
     size = config.packet_size_bits
     service_s = size / config.link_capacity_bps
     # total_delay's order: (propagation + transmission) + queueing + processing
     fixed_ms = config.propagation_ms + service_s * 1000.0
 
     state = SimState(config=config)
-    queue = state.queue
+    high, low = state.high, state.low
     telemetry: list[TelemetryRecord] = []
     interval_log: list[IntervalStats] = []
 
     injected = delivered = suppressed = violations = 0
-    in_service: Packet | None = None
     last_occ_time = 0.0
     arrival_idx = 0
-    service_end = inf  # time the in-service packet finishes
+    service_end = inf  # time the packet in service finishes; inf when idle
+    queued_ms = 0.0    # the queueing delay of the packet in service
 
     for interval_idx in range(config.intervals):
         boundary = (interval_idx + 1) * config.telemetry_interval_s
         injected0, dropped0 = injected, state.dropped
         shaper = state.shaper
-        fifo = state.action is not ControlAction.QOS_ADJUSTMENT
         delivered_bits = 0.0
         delays_ms: list[float] = []
         occ_integral = 0.0
@@ -338,41 +322,43 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
                 if service_end >= boundary:
                     break
                 now = service_end
-                occ_integral += len(queue) * (now - last_occ_time)
+                occ_integral += (len(high) + len(low)) * (now - last_occ_time)
                 last_occ_time = now
                 delivered += 1
                 delivered_bits += size
-                delays_ms.append(fixed_ms + (in_service.service_start_s
-                                             - in_service.enqueued_s) * 1000.0
-                                 + config.processing_ms)
+                delays_ms.append(fixed_ms + queued_ms + config.processing_ms)
+                # a tie between the heads goes to high: schedule_arrivals
+                # merges by (time, device), and the high-priority devices
+                # have the lower indices, so of two packets enqueued at one
+                # time the high one arrived first
+                queue = high if high and (
+                    not low or high[0] <= low[0]
+                    or state.action is ControlAction.QOS_ADJUSTMENT) else low
                 if queue:
-                    in_service = (queue.popleft() if fifo
-                                  else _next_to_serve(state))
-                    in_service.service_start_s = now
+                    queued_ms = (now - queue.popleft()) * 1000.0
                     service_end = now + service_s
                 else:
-                    in_service = None
                     service_end = inf
             else:
                 if next_arrival >= boundary:
                     break
                 now = next_arrival
-                occ_integral += len(queue) * (now - last_occ_time)
+                occ_integral += (len(high) + len(low)) * (now - last_occ_time)
                 last_occ_time = now
                 if shaper is not None and not shaper.admit(now, size):
                     suppressed += 1
                 else:
                     injected += 1
-                    if in_service is not None:
-                        enqueue(state, Packet(now, priorities[arrival_idx]))
-                    else:  # an idle link has an empty queue: serve at once
-                        in_service = Packet(now, priorities[arrival_idx], now)
+                    if service_end < inf:
+                        enqueue(state, now, is_high[arrival_idx])
+                    else:  # an idle link has empty queues: serve at once
+                        queued_ms = 0.0
                         service_end = now + service_s
                 arrival_idx += 1
-            if injected != (delivered + state.dropped + len(queue)
-                            + (in_service is not None)):
+            if injected != (delivered + state.dropped + len(high) + len(low)
+                            + (service_end < inf)):
                 violations += 1
-        occ_integral += len(queue) * (boundary - last_occ_time)
+        occ_integral += (len(high) + len(low)) * (boundary - last_occ_time)
         last_occ_time = boundary
 
         stats = IntervalStats(
@@ -407,8 +393,8 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
         "delivered": delivered,
         "dropped": state.dropped,
         "suppressed": suppressed,
-        "queued": len(queue),
-        "in_flight": int(in_service is not None),
+        "queued": len(high) + len(low),
+        "in_flight": int(service_end < inf),
         "conservation_violations": violations,
     }
     return SimResult(telemetry=telemetry, intervals=interval_log,

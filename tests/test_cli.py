@@ -385,6 +385,39 @@ class TestFailClosedInputs:
         assert out.out == ""
         assert "row 0" in out.err
 
+    @pytest.mark.parametrize("row", [
+        "20.000000,,0.500000,none,50.000000,fls,x",
+        "20.000000,,0.500000,none,50.000000",
+        "abc,,0.500000,none,50.000000,fls",
+        "nan,,0.500000,none,50.000000,fls",
+        "inf,,0.500000,none,50.000000,fls",
+        "10.000000,,0.500000,none,50.000000,fls",
+        "5.000000,,0.500000,none,50.000000,fls",
+        "20.000000,,0.500000,none,abc,fls",
+        "20.000000,,0.500000,none,nan,fls",
+        "20.000000,,0.500000,none,inf,fls",
+        "20.000000,,0.500000,none,-1.000000,fls",
+    ], ids=["extra-field", "missing-field", "time-not-a-number", "time-nan",
+            "time-inf", "time-repeated", "time-decreasing",
+            "throughput-not-a-number", "throughput-nan", "throughput-inf",
+            "throughput-negative"])
+    def test_replay_malformed_row_is_error(self, tmp_path, capsys, row):
+        # every decision is consistent (unscored rows record none); only the
+        # format of row 1 is broken
+        log = tmp_path / "decisions.csv"
+        header = "time_s,score,threshold,action,throughput_kbps,predictor\n"
+        first = "10.000000,,0.500000,none,50.000000,fls\n"
+        last = "30.000000,,0.500000,none,50.000000,fls\n"
+        log.write_text(header + first
+                       + "20.000000,,0.500000,none,50.000000,fls\n" + last)
+        assert main(["replay", str(log)]) == 0
+        capsys.readouterr()
+        log.write_text(header + first + row + "\n" + last)
+        assert main(["replay", str(log)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "row 1: " in out.err
+
     @pytest.mark.parametrize("header, row", [
         ("time_s,score,threshold,action,throughput_kbps,predictor,extra",
          "10.0,0.600000,0.500000,traffic_shaping,50.0,lstm,x"),

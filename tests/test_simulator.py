@@ -4,14 +4,15 @@ import bisect
 import dataclasses
 import itertools
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 
 from congestionlab import simulator, telemetry
 from congestionlab.simulator import (ControlAction, DelayBreakdown,
-                                     LoadScenario, Packet, SimConfig,
-                                     SimState, SimulationError, TokenBucket,
+                                     LoadScenario, SimConfig, SimState,
+                                     SimulationError, TokenBucket,
                                      apply_action, enqueue, label_congestion,
                                      run, schedule_arrivals)
 from congestionlab.telemetry import CongestionLevel
@@ -160,44 +161,72 @@ class TestArrivals:
 
 
 class TestQueueOps:
-    def make_packet(self, priority="low"):
-        return Packet(enqueued_s=0.0, priority=priority)
-
     def test_empty_queue_accepts(self):
         state = SimState(config=SimConfig(buffer_packets=2))
-        assert enqueue(state, self.make_packet()) == "accept"
-        assert len(state.queue) == 1
+        assert enqueue(state, 0.0, high=False)
+        assert list(state.low) == [0.0] and not state.high
 
     def test_full_fifo_drops_arrival(self):
         state = SimState(config=SimConfig(buffer_packets=1))
-        first = self.make_packet()
-        enqueue(state, first)
-        pkt = self.make_packet()
-        assert enqueue(state, pkt) == "drop"
-        assert len(state.queue) == 1 and state.queue[0] is first
+        enqueue(state, 1.0, high=False)
+        assert not enqueue(state, 2.0, high=True)
+        assert list(state.low) == [1.0] and not state.high
         assert state.dropped == 1
 
     def test_priority_displacement(self):
         state = SimState(config=SimConfig(buffer_packets=2),
                          action=ControlAction.QOS_ADJUSTMENT)
-        victim = self.make_packet()
-        enqueue(state, victim)
-        newest_low = self.make_packet()
-        enqueue(state, newest_low)
-        high = self.make_packet(priority="high")
-        assert enqueue(state, high) == "accept"
+        enqueue(state, 1.0, high=False)
+        enqueue(state, 2.0, high=False)
+        assert enqueue(state, 3.0, high=True)
         # the newest low-priority packet (not the oldest) was displaced
-        assert state.queue[0] is victim
-        assert all(p is not newest_low for p in state.queue)
-        assert state.queue[-1] is high
+        assert list(state.low) == [1.0]
+        assert list(state.high) == [3.0]
         assert state.dropped == 1
-        assert len(state.queue) == 2
 
     def test_priority_arrival_into_all_high_queue_drops(self):
         state = SimState(config=SimConfig(buffer_packets=1),
                          action=ControlAction.QOS_ADJUSTMENT)
-        enqueue(state, self.make_packet(priority="high"))
-        assert enqueue(state, self.make_packet(priority="high")) == "drop"
+        enqueue(state, 1.0, high=True)
+        assert not enqueue(state, 2.0, high=True)
+        assert list(state.high) == [1.0] and state.dropped == 1
+
+
+@dataclasses.dataclass(slots=True)
+class Packet:
+    """A queued packet of the reference loop, which keeps both classes in
+    one FIFO queue."""
+    enqueued_s: float
+    priority: str = "low"            # "high" = delay-sensitive class
+    service_start_s: float | None = None
+
+
+def reference_enqueue(state, queue, packet):
+    """Drop-tail admission into the one queue; under QoS a high-priority
+    arrival at a full buffer displaces the newest low-priority packet."""
+    if len(queue) < state.config.buffer_packets:
+        queue.append(packet)
+        return
+    if (state.action is ControlAction.QOS_ADJUSTMENT
+            and packet.priority == "high"):
+        for pos in range(len(queue) - 1, -1, -1):
+            if queue[pos].priority == "low":
+                del queue[pos]
+                state.dropped += 1
+                queue.append(packet)
+                return
+    state.dropped += 1
+
+
+def reference_next_to_serve(state, queue):
+    """The oldest packet, or under QoS the oldest high-priority one."""
+    if state.action is ControlAction.QOS_ADJUSTMENT:
+        for pos in range(len(queue)):
+            if queue[pos].priority == "high":
+                packet = queue[pos]
+                del queue[pos]
+                return packet
+    return queue.popleft()
 
 
 def compute_packet_delay(packet, config):
@@ -315,7 +344,8 @@ class TestActions:
 def reference_run(config, controller_hook=None):
     """Reference for run: the event loop that takes the earliest of the next
     arrival, the service end and the interval boundary, then starts a service
-    whenever the link is idle and the queue is not."""
+    whenever the link is idle and the queue is not.  Both classes share one
+    queue of `Packet`s."""
     times, devices = simulator.schedule_arrivals(config)
     high_priority_devices = int(round(config.priority_fraction
                                       * config.device_count))
@@ -327,7 +357,7 @@ def reference_run(config, controller_hook=None):
     service_s = size / config.link_capacity_bps
     fixed_ms = config.propagation_ms + service_s * 1000.0
     state = SimState(config=config)
-    queue = state.queue
+    queue = deque()
     telemetry_log, interval_log = [], []
     injected = delivered = suppressed = violations = 0
     in_service = None
@@ -362,11 +392,11 @@ def reference_run(config, controller_hook=None):
                     suppressed += 1
                 else:
                     injected += 1
-                    enqueue(state, Packet(next_arrival,
-                                          priorities[arrival_idx]))
+                    reference_enqueue(state, queue, Packet(
+                        next_arrival, priorities[arrival_idx]))
                 arrival_idx += 1
             if in_service is None and queue:
-                in_service = simulator._next_to_serve(state)
+                in_service = reference_next_to_serve(state, queue)
                 in_service.service_start_s = now
                 service_end = now + service_s
             if injected != (delivered + state.dropped + len(queue)
@@ -440,6 +470,31 @@ def scripted_five_packet_loss():
     return cfg, arrivals
 
 
+def reference_cases():
+    """test_matches_reference_loop's inputs: (schedule, interval_s,
+    buffer_packets, scenario, shape), where shape may set priority_fraction
+    (0.2 by default) or put every arrival time on a grid of grid_s."""
+    for schedule, interval_s, buffer_packets, scenario in itertools.product(
+            [None, ControlAction.TRAFFIC_SHAPING, ControlAction.QOS_ADJUSTMENT,
+             7], [1.0, 10.0], [1, 5], list(LoadScenario)):
+        yield pytest.param(schedule, interval_s, buffer_packets, scenario, {},
+                           id=f"{schedule}-{interval_s}-{buffer_packets}-"
+                              f"{scenario}")
+    # random actions switch QoS -> FIFO while both classes hold packets, so
+    # service compares the two heads; one class alone leaves one FIFO empty.
+    # On a 10 ms grid high and low packets share enqueue times, and a full
+    # 50-packet buffer holds such a pair across a FIFO -> QoS switch, where
+    # the tie rule decides which of the two is left
+    for shape, buffer_packets in [
+            ({"priority_fraction": 0.0}, 1), ({"priority_fraction": 0.0}, 3),
+            ({"priority_fraction": 1.0}, 1), ({"priority_fraction": 1.0}, 3),
+            ({"grid_s": 0.01}, 3), ({"grid_s": 0.01}, 50),
+            ({"grid_s": 0.01, "priority_fraction": 0.5}, 50)]:
+        name = "-".join(f"{key}={value}" for key, value in shape.items())
+        yield pytest.param(11, 1.0, buffer_packets, LoadScenario.HIGH, shape,
+                           id=f"11-1.0-{buffer_packets}-{name}")
+
+
 class TestRun:
     def test_scripted_loss_oracle(self, monkeypatch):
         cfg, arrivals = scripted_five_packet_loss()
@@ -450,16 +505,21 @@ class TestRun:
         assert result.counters["dropped"] == 2
         assert result.telemetry[0].packet_loss_rate == pytest.approx(2 / 5)
 
-    @pytest.mark.parametrize("scenario", list(LoadScenario))
-    @pytest.mark.parametrize("buffer_packets", [1, 5])
-    @pytest.mark.parametrize("interval_s", [1.0, 10.0])
-    @pytest.mark.parametrize("schedule", [
-        None, ControlAction.TRAFFIC_SHAPING, ControlAction.QOS_ADJUSTMENT, 7])
-    def test_matches_reference_loop(self, scenario, buffer_packets,
-                                    interval_s, schedule):
+    @pytest.mark.parametrize(
+        "schedule, interval_s, buffer_packets, scenario, shape",
+        reference_cases())
+    def test_matches_reference_loop(self, monkeypatch, schedule, interval_s,
+                                    buffer_packets, scenario, shape):
         cfg = SimConfig(duration_s=60.0, telemetry_interval_s=interval_s,
                         scenario=scenario, buffer_packets=buffer_packets,
-                        seed=buffer_packets + int(interval_s))
+                        seed=buffer_packets + int(interval_s),
+                        priority_fraction=shape.get("priority_fraction", 0.2))
+        if "grid_s" in shape:
+            times, devices = schedule_arrivals(cfg)
+            times = np.floor(times / shape["grid_s"]) * shape["grid_s"]
+            order = np.lexsort((devices, times))
+            monkeypatch.setattr(simulator, "schedule_arrivals", lambda config:
+                                (times[order], devices[order]))
         result = assert_same_run(cfg, schedule)
         assert result.counters["conservation_violations"] == 0
 
@@ -560,17 +620,19 @@ class TestRun:
     def test_qos_prioritizes_high_class_delay(self, monkeypatch):
         cfg = SimConfig(duration_s=100.0, scenario=LoadScenario.HIGH, seed=4)
         created = []
+        packet_type = Packet
 
         def recording_packet(*args):
-            packet = Packet(*args)
+            packet = packet_type(*args)
             created.append(packet)
             return packet
 
-        # every packet run makes, whether it enters service from the queue
-        # or straight from an idle link
-        monkeypatch.setattr(simulator, "Packet", recording_packet)
-        result = run(cfg, controller_hook=lambda record:
-                     ControlAction.QOS_ADJUSTMENT)
+        # every packet the reference loop queues, each with its class; run
+        # keeps no per-packet record, and its delays must be the same ones
+        monkeypatch.setitem(globals(), "Packet", recording_packet)
+        hook = schedule_hook(ControlAction.QOS_ADJUSTMENT)
+        reference_run(cfg, controller_hook=hook)
+        result = run(cfg, controller_hook=hook)
         served = [p for p in created if p.service_start_s is not None]
         # recompute each served packet's delay through DelayBreakdown and
         # file it under the interval its service ended in (the first
