@@ -10,12 +10,12 @@ model.features, model.classes) are refused, as is any unknown key such as
 window (telemetry.WINDOW); any ConfigError surfaces before a command writes
 output.  evaluate reads no config, only its checkpoint.  compare likewise
 refuses a report.json field of the wrong type or a non-finite number, and a
-pair of reports whose scenario, seed or config digest differ.  replay feeds
-every decision-log row to the controller's policy step, so an unscored row
-must record none; a log with a header and no rows, a row with missing or
-extra fields, a time_s that is not finite or not strictly increasing and a
-throughput_kbps that is not finite or is negative are errors.  Every
-command is deterministic under the master seed.
+pair of reports whose scenario, seed or config digest differ.  replay
+refuses a log with another header or no rows, then checks every row in one
+pass, experiment.replay_decisions (the library's replay too): each field,
+predictor included, and the action that the controller's policy step gives
+for the logged score, so an unscored row must record none.  Every command
+is deterministic under the master seed.
 
 Exit codes: 0 success, 1 usage/config error (argparse's usage errors too),
 2 acceptance-check failure (replay mismatch or training divergence).
@@ -27,13 +27,12 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import experiment, metrics, telemetry, training
-from .controller import (DECISION_LOG_HEADER, PolicyConfig,
+from .controller import (DECISION_LOG_HEADER, PREDICTORS, PolicyConfig,
                          write_decision_log)
 from .nn import ModelConfig
 from .simulator import LoadScenario, SimConfig, SimulationError
@@ -248,30 +247,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def check_log_rows(rows: list[dict]) -> None:
-    """The decision log's own row format, which replay_decisions does not
-    read: each row has exactly the header's fields, time_s is finite and
-    strictly increasing, and throughput_kbps is finite and non-negative.
-    Raises ValueError naming the first bad row."""
-    previous = -math.inf
-    for idx, row in enumerate(rows):
-        if None in row or None in row.values():  # DictReader's fill-ins
-            raise ValueError(f"row {idx}: missing or extra fields")
-        try:
-            time_s = float(row["time_s"])
-            kbps = float(row["throughput_kbps"])
-        except ValueError as exc:
-            raise ValueError(f"row {idx}: {exc}") from None
-        if not (math.isfinite(time_s) and time_s > previous):
-            raise ValueError(f"row {idx}: time_s {row['time_s']!r} is not "
-                             f"a finite time after the previous row's")
-        if not (math.isfinite(kbps) and kbps >= 0):
-            raise ValueError(f"row {idx}: throughput_kbps "
-                             f"{row['throughput_kbps']!r} is not a finite "
-                             f"non-negative number")
-        previous = time_s
-
-
 def cmd_replay(args) -> int:
     try:
         with open(args.log, "r", encoding="utf-8", newline="") as fh:
@@ -286,7 +261,6 @@ def cmd_replay(args) -> int:
     if not rows:
         raise ConfigError(f"{args.log}: no decisions, only a header")
     try:
-        check_log_rows(rows)
         mismatches = experiment.replay_decisions(rows)
     except ValueError as exc:
         raise ConfigError(f"{args.log}: {exc}") from None
@@ -331,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-experiment", help="closed-loop scenario runs")
     add_common(p)
-    p.add_argument("--predictor", choices=["lstm", "fls", "none"],
-                   required=True)
+    p.add_argument("--predictor", choices=PREDICTORS, required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--scenario", choices=[s.value for s in LoadScenario])
     p.add_argument("--out-dir", required=True)

@@ -131,6 +131,10 @@ class FlsController(Controller):
                              occupancy[-1])
 
 
+# every predictor_id, as --predictor and the decision log spell it
+PREDICTORS = tuple(cls.predictor_id for cls in
+                   (LstmController, FlsController, Controller))
+
 DECISION_LOG_HEADER = "time_s,score,threshold,action,throughput_kbps,predictor"
 
 

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from . import nn, simulator, telemetry, training
-from .controller import (Controller, DecisionEntry, FlsController,
-                         LstmController, PolicyConfig)
+from .controller import (DECISION_LOG_HEADER, PREDICTORS, Controller,
+                         DecisionEntry, FlsController, LstmController,
+                         PolicyConfig)
 from .simulator import ControlAction, SimConfig
 
 
@@ -115,13 +117,29 @@ def run_experiment(sim_config: SimConfig,
 
 def replay_decisions(rows: list[dict], threshold: float | None = None
                      ) -> list[tuple[int, ControlAction, ControlAction]]:
-    """Feed every row's score (None when empty) to one Controller's policy step
-    at `threshold`, else row 0's; returns (row_index, recorded, recomputed)
-    mismatches.  A bad or differing value raises ValueError naming the row."""
+    """Check every decision-log row in one pass and feed its score (None when
+    empty) to one Controller's policy step at `threshold`, else row 0's;
+    returns (row_index, recorded, recomputed) mismatches.  A row off the
+    writer's format, or whose threshold or predictor differs from row 0's,
+    raises ValueError naming the row."""
+    fields = set(DECISION_LOG_HEADER.split(","))
     mismatches = []
+    previous = -math.inf
     for idx, row in enumerate(rows):
         try:
-            logged = float(row["threshold"])
+            if row.keys() != fields or None in row.values():
+                raise ValueError("missing or extra fields")
+            time_s, kbps, logged = (float(row[key]) for key in
+                                    ("time_s", "throughput_kbps", "threshold"))
+            if not (math.isfinite(time_s) and time_s > previous):
+                raise ValueError(f"time_s {row['time_s']!r} is not a finite "
+                                 "time after the previous row's")
+            if not (math.isfinite(kbps) and kbps >= 0):
+                raise ValueError(f"throughput_kbps {row['throughput_kbps']!r}"
+                                 " is not a finite non-negative number")
+            if row["predictor"] not in PREDICTORS:
+                raise ValueError(f"predictor {row['predictor']!r} is not one "
+                                 f"of {PREDICTORS}")
             if idx == 0:
                 policy = PolicyConfig(
                     logged if threshold is None else threshold)
@@ -129,11 +147,15 @@ def replay_decisions(rows: list[dict], threshold: float | None = None
             if logged != policy.threshold:
                 raise ValueError(f"threshold {row['threshold']!r} differs "
                                  f"from the log's {policy.threshold}")
+            if row["predictor"] != rows[0]["predictor"]:
+                raise ValueError(f"predictor {row['predictor']!r} differs "
+                                 f"from the log's {rows[0]['predictor']!r}")
             recomputed = controller.act(
                 float(row["score"]) if row["score"] else None)
-            recorded = ControlAction.parse(row["action"] or "")
+            recorded = ControlAction.parse(row["action"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"row {idx}: {exc}") from None
         if recorded != recomputed:
             mismatches.append((idx, recorded, recomputed))
+        previous = time_s
     return mismatches

@@ -18,13 +18,12 @@ FAST_TRAIN = ["--set", "training.max_epochs=2", "--set",
 # each of these once gave a raw traceback, ran to exit 0 on a nonsense value,
 # or was dropped without a word
 BAD_OVERRIDES = [
-    "sim.device_count=2.5", "sim.propagation_ms=-5", "policy.score_weights=5",
-    "policy.score_weights=[0,1]", "policy.score_decimals=1.5",
+    "sim.device_count=2.5", "sim.propagation_ms=-5",
     "model.hidden_units=2.5", "training.batch_size=2.5",
     "sim.buffer_packets=2.5", "sim.load_multiplier=-1",
     "sim.shaping_fraction=-1", "sim.priority_fraction=3",
     "sim.duration_s=true", "sim.telemetry_interval_s=Infinity",
-    "master_seed=true", "training.clip_norm=-1", "training.learning_rate=NaN",
+    "master_seed=true", "training.learning_rate=NaN",
     # the interval count overflows a float
     "sim.telemetry_interval_s=5e-324", "sim.duration_s=1" + "0" * 400,
     # finite, but past the interval, device or expected-arrival limit
@@ -33,18 +32,16 @@ BAD_OVERRIDES = [
     # derived by the commands, so not settings
     "sim.scenario=low", "sim.seed=5", "training.seed=3", "model.features=3",
     "model.classes=4",
-    # clipping is always on; the score weights and decimals are constants
-    "training.clip_norm=null", "policy.score_weights=[0,0.5,1]",
-    "policy.score_decimals=2",
+    # the score weights and decimals are constants
+    "policy.score_weights=[0,0.5,1]", "policy.score_decimals=2",
     # the model's window is telemetry.WINDOW: a checkpoint trained at 10 once
     # ran at window 3, scoring from the third record
     "window=3",
     # the edges of an open or positive range
     "policy.threshold=0", "policy.threshold=1", "training.max_epochs=0",
     # neither is a setting: the split is always a seeded shuffle, and the
-    # clipping bound is the constant TrainingConfig.clip_norm
-    "chronological_split=1", "chronological_split=false",
-    "training.clip_norm=5",
+    # clipping bound (always on) is the constant TrainingConfig.clip_norm
+    "chronological_split=false", "training.clip_norm=5",
 ]
 
 
@@ -397,10 +394,12 @@ class TestFailClosedInputs:
         "20.000000,,0.500000,none,nan,fls",
         "20.000000,,0.500000,none,inf,fls",
         "20.000000,,0.500000,none,-1.000000,fls",
+        "20.000000,,0.500000,none,50.000000,bogus",
+        "20.000000,,0.500000,none,50.000000,lstm",
     ], ids=["extra-field", "missing-field", "time-not-a-number", "time-nan",
             "time-inf", "time-repeated", "time-decreasing",
             "throughput-not-a-number", "throughput-nan", "throughput-inf",
-            "throughput-negative"])
+            "throughput-negative", "predictor-unknown", "predictor-changes"])
     def test_replay_malformed_row_is_error(self, tmp_path, capsys, row):
         # every decision is consistent (unscored rows record none); only the
         # format of row 1 is broken
@@ -526,12 +525,17 @@ class TestFailClosedInputs:
         with pytest.raises(ConfigError):
             load_config(str(path), overrides)
 
-    @pytest.mark.parametrize("override", BAD_OVERRIDES,
-                             ids=lambda override: override[:40])
+    @pytest.mark.parametrize("command, override", [
+        pytest.param("gen-data", override, id=override[:40])
+        for override in BAD_OVERRIDES] + [
+        # train refuses too, before it reads --data or makes --out-dir
+        pytest.param("train", "chronological_split=false",
+                     id="train-chronological_split=false")])
     def test_bad_override_exits_1_before_output(self, tmp_path, capsys,
-                                                override):
+                                                command, override):
         out = tmp_path / "out"
-        assert main(["gen-data", "--out-dir", str(out),
+        data = {"gen-data": [], "train": ["--data", str(tmp_path)]}[command]
+        assert main([command, *data, "--out-dir", str(out),
                      "--set", override]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

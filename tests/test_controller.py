@@ -23,6 +23,15 @@ def make_record(ts, occ=0.2):
         label=CongestionLevel.LOW)
 
 
+def log_rows(*steps):
+    """Decision-log rows as csv.DictReader gives them, one per (score,
+    action) step: 10 s apart, at threshold 0.5, all from the lstm."""
+    return [{"time_s": f"{10.0 * (k + 1):.6f}", "score": score,
+             "threshold": "0.500000", "action": action,
+             "throughput_kbps": "50.000000", "predictor": "lstm"}
+            for k, (score, action) in enumerate(steps)]
+
+
 class TestScore:
     def test_pure_low(self):
         assert congestion_score([1.0, 0.0, 0.0]) == 0.0
@@ -171,21 +180,13 @@ class TestDecisionLog:
         assert lines[2].split(",")[3] == "traffic_shaping"
 
     def test_replay_consistent_log(self):
-        rows = [
-            {"score": "", "threshold": "0.500000", "action": "none"},
-            {"score": "0.15", "threshold": "0.500000", "action": "none"},
-            {"score": "0.68", "threshold": "0.500000",
-             "action": "traffic_shaping"},
-            {"score": "0.50", "threshold": "0.500000",
-             "action": "qos_adjustment"},
-        ]
+        rows = log_rows(("", "none"), ("0.15", "none"),
+                        ("0.68", "traffic_shaping"),
+                        ("0.50", "qos_adjustment"))
         assert experiment.replay_decisions(rows) == []
 
     def test_replay_flags_mismatch(self):
-        rows = [
-            {"score": "0.68", "threshold": "0.500000", "action": "none"},
-        ]
-        mismatches = experiment.replay_decisions(rows)
+        mismatches = experiment.replay_decisions(log_rows(("0.68", "none")))
         assert len(mismatches) == 1
         idx, recorded, recomputed = mismatches[0]
         assert idx == 0
@@ -193,8 +194,7 @@ class TestDecisionLog:
         assert recomputed == ControlAction.TRAFFIC_SHAPING
 
     def test_replay_all_low_scores(self):
-        rows = [{"score": f"{0.1 * k:.2f}", "threshold": "0.500000",
-                 "action": "none"} for k in range(1, 5)]
+        rows = log_rows(*((f"{0.1 * k:.2f}", "none") for k in range(1, 5)))
         assert experiment.replay_decisions(rows) == []
 
     def test_replay_empty_log(self):
@@ -202,21 +202,29 @@ class TestDecisionLog:
 
     def test_replay_checks_unscored_rows(self):
         # a row with no score is a step without a decision: only none fits
-        rows = [
-            {"score": "0.68", "threshold": "0.500000",
-             "action": "traffic_shaping"},
-            {"score": "", "threshold": "0.500000",
-             "action": "traffic_shaping"},
-        ]
+        rows = log_rows(("0.68", "traffic_shaping"), ("", "traffic_shaping"))
         assert experiment.replay_decisions(rows) == [
             (1, ControlAction.TRAFFIC_SHAPING, ControlAction.NONE)]
 
     def test_replay_parses_unscored_rows(self):
-        rows = [
-            {"score": "", "threshold": "0.500000", "action": "none"},
-            {"score": "", "threshold": "0.500000", "action": "garbage"},
-        ]
+        rows = log_rows(("", "none"), ("", "garbage"))
         with pytest.raises(ValueError, match="row 1"):
+            experiment.replay_decisions(rows)
+
+    @pytest.mark.parametrize("idx, key, value", [
+        (1, "time_s", "nan"),
+        (1, "throughput_kbps", "-1.000000"),
+        (1, "predictor", "bogus"),
+        (0, "predictor", "bogus"),  # then lstm
+        (1, "predictor", "fls"),    # lstm, then fls
+    ], ids=["time-nan", "throughput-negative", "predictor-unknown",
+            "predictor-unknown-row-0", "predictor-changes"])
+    def test_replay_refuses_malformed_row(self, idx, key, value):
+        # consistent as written: one field of one row breaks the format
+        rows = log_rows(("", "none"), ("", "none"), ("", "none"))
+        assert experiment.replay_decisions(rows) == []
+        rows[idx][key] = value
+        with pytest.raises(ValueError, match=f"^row {idx}: "):
             experiment.replay_decisions(rows)
 
     def test_replay_runs_the_controller_act(self, monkeypatch):
@@ -228,7 +236,6 @@ class TestDecisionLog:
             calls.append(score)
             return real(self, score)
         monkeypatch.setattr(Controller, "act", spy)
-        rows = [{"score": score, "threshold": "0.500000", "action": "none"}
-                for score in ("", "0.10", "")]
+        rows = log_rows(("", "none"), ("0.10", "none"), ("", "none"))
         assert experiment.replay_decisions(rows) == []
         assert calls == [None, 0.10, None]
