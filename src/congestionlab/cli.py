@@ -32,8 +32,8 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import experiment, metrics, telemetry, training
-from .controller import (DECISION_LOG_HEADER, PREDICTORS, PolicyConfig,
-                         write_decision_log)
+from .controller import (DECISION_LOG_HEADER, PREDICTORS, LstmController,
+                         PolicyConfig, write_decision_log)
 from .nn import ModelConfig
 from .simulator import LoadScenario, SimConfig, SimulationError
 from .telemetry import TelemetryError, check_fields
@@ -171,7 +171,7 @@ def cmd_run_experiment(args) -> int:
     out_dir = Path(args.out_dir)
 
     model = stats = None
-    if args.predictor == "lstm":
+    if args.predictor == LstmController.predictor_id:
         if args.checkpoint is None:
             raise ConfigError("predictor lstm requires --checkpoint")
         model, stats = ckpt.load_checkpoint(args.checkpoint)

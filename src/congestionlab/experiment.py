@@ -66,14 +66,13 @@ def train_pipeline(series_list: list[list[telemetry.TelemetryRecord]],
 
 def make_controller(predictor: str, model=None, stats=None,
                     policy: PolicyConfig | None = None):
-    if predictor == "lstm":
+    if predictor == LstmController.predictor_id:
         if model is None or stats is None:
-            raise ValueError("lstm predictor needs a model and stats")
+            raise ValueError(f"{predictor} predictor needs a model and stats")
         return LstmController(model, stats, policy=policy)
-    if predictor == "fls":
-        return FlsController(policy=policy)
-    if predictor == "none":
-        return Controller(policy=policy)
+    for cls in (FlsController, Controller):
+        if predictor == cls.predictor_id:
+            return cls(policy=policy)
     raise ValueError(f"unknown predictor {predictor!r}")
 
 

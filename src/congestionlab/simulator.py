@@ -28,8 +28,9 @@ processing, in that order both in `total_delay` and inline in `run`.
 Runs are deterministic under (config, seed).
 Event order: a departure tied with an arrival goes first, and an event at
 an interval boundary counts in the next interval.  An arrival at an idle
-link enters service at once; at a busy link it goes through `enqueue`, the
-one admission and displacement rule.
+link enters service at once; at a busy link `run`'s arrival branch applies
+the one admission and displacement rule.  The loop reads the queue length
+once per event, after it, for the conservation check and the next event.
 
 Every packet is `SimConfig.packet_size_bits` long.  `run` returns a
 SimResult carrying only aggregates: one TelemetryRecord and one IntervalStats
@@ -235,7 +236,6 @@ class SimState:
     low: deque = field(default_factory=deque)
     action: ControlAction = ControlAction.NONE
     shaper: TokenBucket | None = None
-    dropped: int = 0
 
 
 def apply_action(state: SimState, action: ControlAction, now: float = 0.0):
@@ -254,21 +254,6 @@ def apply_action(state: SimState, action: ControlAction, now: float = 0.0):
     state.action = action
 
 
-def enqueue(state: SimState, arrival_s: float, high: bool) -> bool:
-    """Drop-tail admission into the arrival's class FIFO; under QoS
-    adjustment a high-priority arrival at a full buffer displaces the newest
-    low-priority packet.  Returns whether the arrival was admitted."""
-    if len(state.high) + len(state.low) < state.config.buffer_packets:
-        (state.high if high else state.low).append(arrival_s)
-        return True
-    state.dropped += 1  # the arrival, or the packet it displaces
-    if high and state.low and state.action is ControlAction.QOS_ADJUSTMENT:
-        state.low.pop()
-        state.high.append(arrival_s)
-        return True
-    return False
-
-
 @dataclass
 class SimResult:
     telemetry: list[TelemetryRecord]
@@ -284,7 +269,9 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
     starts; any other return raises SimulationError.
     Ties go to the departure, which starts the next service: the head of
     `high` under QoS or when it is not later than `low`'s, else `low`'s.  An
-    arrival at an idle link is served at once, at a busy one `enqueue`d.
+    arrival at an idle link is served at once; at a busy one it joins its
+    class FIFO, drop-tail, or under QoS a high one displaces the newest low.
+    The queue length is read once after each event and once after the hook.
     """
     times, devices = schedule_arrivals(config)
     high_priority_devices = int(round(config.priority_fraction
@@ -296,13 +283,14 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
     service_s = size / config.link_capacity_bps
     # total_delay's order: (propagation + transmission) + queueing + processing
     fixed_ms = config.propagation_ms + service_s * 1000.0
+    processing_ms, buffer_packets = config.processing_ms, config.buffer_packets
 
     state = SimState(config=config)
     high, low = state.high, state.low
     telemetry: list[TelemetryRecord] = []
     interval_log: list[IntervalStats] = []
 
-    injected = delivered = suppressed = violations = 0
+    injected = delivered = dropped = suppressed = violations = 0
     last_occ_time = 0.0
     arrival_idx = 0
     service_end = inf  # time the packet in service finishes; inf when idle
@@ -310,10 +298,13 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
 
     for interval_idx in range(config.intervals):
         boundary = (interval_idx + 1) * config.telemetry_interval_s
-        injected0, dropped0 = injected, state.dropped
+        injected0, dropped0 = injected, dropped
         shaper = state.shaper
+        qos = state.action is ControlAction.QOS_ADJUSTMENT
+        queued = len(high) + len(low)  # so the check sees the hook's changes
         delivered_bits = 0.0
         delays_ms: list[float] = []
+        append_delay = delays_ms.append
         occ_integral = 0.0
 
         while True:
@@ -322,18 +313,17 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
                 if service_end >= boundary:
                     break
                 now = service_end
-                occ_integral += (len(high) + len(low)) * (now - last_occ_time)
+                occ_integral += queued * (now - last_occ_time)
                 last_occ_time = now
                 delivered += 1
                 delivered_bits += size
-                delays_ms.append(fixed_ms + queued_ms + config.processing_ms)
+                append_delay(fixed_ms + queued_ms + processing_ms)
                 # a tie between the heads goes to high: schedule_arrivals
                 # merges by (time, device), and the high-priority devices
                 # have the lower indices, so of two packets enqueued at one
                 # time the high one arrived first
                 queue = high if high and (
-                    not low or high[0] <= low[0]
-                    or state.action is ControlAction.QOS_ADJUSTMENT) else low
+                    qos or not low or high[0] <= low[0]) else low
                 if queue:
                     queued_ms = (now - queue.popleft()) * 1000.0
                     service_end = now + service_s
@@ -343,28 +333,33 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
                 if next_arrival >= boundary:
                     break
                 now = next_arrival
-                occ_integral += (len(high) + len(low)) * (now - last_occ_time)
+                occ_integral += queued * (now - last_occ_time)
                 last_occ_time = now
                 if shaper is not None and not shaper.admit(now, size):
                     suppressed += 1
                 else:
                     injected += 1
-                    if service_end < inf:
-                        enqueue(state, now, is_high[arrival_idx])
-                    else:  # an idle link has empty queues: serve at once
+                    if service_end == inf:  # idle link, empty queues: serve
                         queued_ms = 0.0
                         service_end = now + service_s
+                    elif queued < buffer_packets:
+                        (high if is_high[arrival_idx] else low).append(now)
+                    else:  # drop the arrival, or under QoS the newest low
+                        dropped += 1
+                        if qos and low and is_high[arrival_idx]:
+                            low.pop()
+                            high.append(now)
                 arrival_idx += 1
-            if injected != (delivered + state.dropped + len(high) + len(low)
-                            + (service_end < inf)):
+            queued = len(high) + len(low)
+            if injected != delivered + dropped + queued + (service_end < inf):
                 violations += 1
-        occ_integral += (len(high) + len(low)) * (boundary - last_occ_time)
+        occ_integral += queued * (boundary - last_occ_time)
         last_occ_time = boundary
 
         stats = IntervalStats(
             index=interval_idx,
             injected=injected - injected0,
-            dropped=state.dropped - dropped0,
+            dropped=dropped - dropped0,
             delivered_bits=delivered_bits,
             total_delays_ms=delays_ms,
             action_in_force=state.action,
@@ -375,7 +370,9 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
             timestamp_s=boundary,
             throughput_kbps=delivered_bits / config.telemetry_interval_s
             / 1000.0,
-            delay_ms=float(np.mean(delays_ms)) if delays_ms else 0.0,
+            # np.mean's pairwise sum and division, without its dispatch
+            delay_ms=float(np.add.reduce(np.array(delays_ms)))
+            / len(delays_ms) if delays_ms else 0.0,
             packet_loss_rate=(stats.dropped / stats.injected)
             if stats.injected else 0.0,
             queue_occupancy=occ_mean,
@@ -391,7 +388,7 @@ def run(config: SimConfig, controller_hook=None) -> SimResult:
     counters = {
         "injected": injected,
         "delivered": delivered,
-        "dropped": state.dropped,
+        "dropped": dropped,
         "suppressed": suppressed,
         "queued": len(high) + len(low),
         "in_flight": int(service_end < inf),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from congestionlab import experiment
-from congestionlab.controller import (ControlAction, Controller,
-                                      DecisionEntry, FlsController,
-                                      LstmController, PolicyConfig,
+from congestionlab.controller import (PREDICTORS, ControlAction,
+                                      Controller, DecisionEntry,
+                                      FlsController, LstmController,
+                                      PolicyConfig,
                                       congestion_score, decide,
                                       write_decision_log,
                                       DECISION_LOG_HEADER)
@@ -158,6 +159,14 @@ class TestNullController:
         for k in range(12):
             assert ctrl.control_step(make_record(float(k + 1), occ=0.99)) \
                 == ControlAction.NONE
+
+
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_make_controller_dispatches_on_predictor_id(predictor):
+    controller = experiment.make_controller(
+        predictor, model=constant_probability_model([1.0, 0.0, 0.0]),
+        stats=NormalizationStats([0.0] * 5, [1.0] * 5))
+    assert controller.predictor_id == predictor
 
 
 class TestDecisionLog:

@@ -13,7 +13,7 @@ from congestionlab import simulator, telemetry
 from congestionlab.simulator import (ControlAction, DelayBreakdown,
                                      LoadScenario, SimConfig, SimState,
                                      SimulationError, TokenBucket,
-                                     apply_action, enqueue, label_congestion,
+                                     apply_action, label_congestion,
                                      run, schedule_arrivals)
 from congestionlab.telemetry import CongestionLevel
 
@@ -160,36 +160,65 @@ class TestArrivals:
         assert counts_one == pytest.approx(expected, rel=0.05)
 
 
+def scripted_config(buffer_packets):
+    """1 s service, 3 s intervals over 9 s; device 0 is the high class and
+    device 1 the low one."""
+    return SimConfig(duration_s=9.0, telemetry_interval_s=3.0, device_count=2,
+                     priority_fraction=0.5, link_capacity_bps=1000.0,
+                     packet_size_bits=1000.0, buffer_packets=buffer_packets,
+                     load_multiplier=0.01)
+
+
+def queueing_ms(result, config):
+    """Each delivered packet's queueing delay, in delivery order."""
+    fixed_ms = (config.propagation_ms + config.processing_ms
+                + config.packet_size_bits / config.link_capacity_bps * 1000.0)
+    return [delay - fixed_ms for iv in result.intervals
+            for delay in iv.total_delays_ms]
+
+
 class TestQueueOps:
-    def test_empty_queue_accepts(self):
-        state = SimState(config=SimConfig(buffer_packets=2))
-        assert enqueue(state, 0.0, high=False)
-        assert list(state.low) == [0.0] and not state.high
+    """run's admission rule, on scripted (time, device) arrivals; the first
+    arrival finds the link idle and is served at once, the rest queue."""
 
-    def test_full_fifo_drops_arrival(self):
-        state = SimState(config=SimConfig(buffer_packets=1))
-        enqueue(state, 1.0, high=False)
-        assert not enqueue(state, 2.0, high=True)
-        assert list(state.low) == [1.0] and not state.high
-        assert state.dropped == 1
+    def scripted_run(self, monkeypatch, buffer_packets, times, devices,
+                     schedule=None):
+        cfg = scripted_config(buffer_packets)
+        arrivals = (np.array(times), np.array(devices))
+        monkeypatch.setattr(simulator, "schedule_arrivals",
+                            lambda config: arrivals)
+        result = assert_same_run(cfg, schedule)
+        assert result.counters["conservation_violations"] == 0
+        return result, queueing_ms(result, cfg)
 
-    def test_priority_displacement(self):
-        state = SimState(config=SimConfig(buffer_packets=2),
-                         action=ControlAction.QOS_ADJUSTMENT)
-        enqueue(state, 1.0, high=False)
-        enqueue(state, 2.0, high=False)
-        assert enqueue(state, 3.0, high=True)
-        # the newest low-priority packet (not the oldest) was displaced
-        assert list(state.low) == [1.0]
-        assert list(state.high) == [3.0]
-        assert state.dropped == 1
+    def test_empty_queue_accepts(self, monkeypatch):
+        result, waits = self.scripted_run(monkeypatch, 2, [0.5, 0.6], [1, 1])
+        assert result.counters["dropped"] == 0
+        assert waits == pytest.approx([0.0, 900.0])
 
-    def test_priority_arrival_into_all_high_queue_drops(self):
-        state = SimState(config=SimConfig(buffer_packets=1),
-                         action=ControlAction.QOS_ADJUSTMENT)
-        enqueue(state, 1.0, high=True)
-        assert not enqueue(state, 2.0, high=True)
-        assert list(state.high) == [1.0] and state.dropped == 1
+    def test_full_fifo_drops_arrival(self, monkeypatch):
+        result, waits = self.scripted_run(monkeypatch, 1, [0.5, 0.6, 0.7],
+                                          [1, 1, 0])
+        assert result.intervals[0].dropped == 1
+        assert waits == pytest.approx([0.0, 900.0])  # the high one is gone
+
+    def test_priority_displacement(self, monkeypatch):
+        # QoS is in force from the first boundary; three low arrivals fill
+        # the link and the 2-packet buffer, then a high one arrives
+        result, waits = self.scripted_run(
+            monkeypatch, 2, [3.5, 3.6, 3.7, 3.8], [1, 1, 1, 0],
+            ControlAction.QOS_ADJUSTMENT)
+        assert result.intervals[1].dropped == 1
+        # the high packet goes first, then the oldest low one: the newest
+        # low one (3.7) was displaced
+        assert waits == pytest.approx([0.0, 700.0, 1900.0])
+
+    def test_priority_arrival_into_all_high_queue_drops(self, monkeypatch):
+        result, waits = self.scripted_run(
+            monkeypatch, 1, [3.5, 3.6, 3.7], [0, 0, 0],
+            ControlAction.QOS_ADJUSTMENT)
+        assert result.intervals[1].dropped == 1
+        assert waits == pytest.approx([0.0, 900.0])
 
 
 @dataclasses.dataclass(slots=True)
@@ -203,19 +232,20 @@ class Packet:
 
 def reference_enqueue(state, queue, packet):
     """Drop-tail admission into the one queue; under QoS a high-priority
-    arrival at a full buffer displaces the newest low-priority packet."""
+    arrival at a full buffer displaces the newest low-priority packet.
+    Returns the number of packets dropped: 1 at a full buffer (the arrival
+    or the packet it displaced), else 0."""
     if len(queue) < state.config.buffer_packets:
         queue.append(packet)
-        return
+        return 0
     if (state.action is ControlAction.QOS_ADJUSTMENT
             and packet.priority == "high"):
         for pos in range(len(queue) - 1, -1, -1):
             if queue[pos].priority == "low":
                 del queue[pos]
-                state.dropped += 1
                 queue.append(packet)
-                return
-    state.dropped += 1
+                break
+    return 1
 
 
 def reference_next_to_serve(state, queue):
@@ -359,7 +389,7 @@ def reference_run(config, controller_hook=None):
     state = SimState(config=config)
     queue = deque()
     telemetry_log, interval_log = [], []
-    injected = delivered = suppressed = violations = 0
+    injected = delivered = dropped = suppressed = violations = 0
     in_service = None
     last_occ_time = 0.0
     arrival_idx = 0
@@ -367,7 +397,7 @@ def reference_run(config, controller_hook=None):
     current_action = ControlAction.NONE
     for interval_idx in range(config.intervals):
         boundary = (interval_idx + 1) * config.telemetry_interval_s
-        injected0, dropped0 = injected, state.dropped
+        injected0, dropped0 = injected, dropped
         shaper = state.shaper
         delivered_bits = 0.0
         delays_ms = []
@@ -392,19 +422,19 @@ def reference_run(config, controller_hook=None):
                     suppressed += 1
                 else:
                     injected += 1
-                    reference_enqueue(state, queue, Packet(
+                    dropped += reference_enqueue(state, queue, Packet(
                         next_arrival, priorities[arrival_idx]))
                 arrival_idx += 1
             if in_service is None and queue:
                 in_service = reference_next_to_serve(state, queue)
                 in_service.service_start_s = now
                 service_end = now + service_s
-            if injected != (delivered + state.dropped + len(queue)
+            if injected != (delivered + dropped + len(queue)
                             + (in_service is not None)):
                 violations += 1
         stats = simulator.IntervalStats(
             index=interval_idx, injected=injected - injected0,
-            dropped=state.dropped - dropped0, delivered_bits=delivered_bits,
+            dropped=dropped - dropped0, delivered_bits=delivered_bits,
             total_delays_ms=delays_ms, action_in_force=current_action)
         occ_mean = occ_integral / config.telemetry_interval_s \
             / config.buffer_packets
@@ -428,7 +458,7 @@ def reference_run(config, controller_hook=None):
                 current_action = action
     counters = {
         "injected": injected, "delivered": delivered,
-        "dropped": state.dropped, "suppressed": suppressed,
+        "dropped": dropped, "suppressed": suppressed,
         "queued": len(queue), "in_flight": int(in_service is not None),
         "conservation_violations": violations}
     return simulator.SimResult(telemetry=telemetry_log,
@@ -539,6 +569,28 @@ class TestRun:
         assert [(iv.injected, iv.dropped, len(iv.total_delays_ms))
                 for iv in result.intervals] == [(3, 0, 2), (1, 0, 2)]
         assert result.counters["conservation_violations"] == 0
+
+    def test_check_sees_a_change_between_events(self, monkeypatch):
+        # a phantom packet pushed into `low` at the first boundary, outside
+        # any event: the next interval's occupancy counts it from 3.0 until
+        # the departure at 5.0 serves it, and the check after each event of
+        # that interval counts one packet more than were injected
+        cfg = scripted_config(2)
+        arrivals = (np.array([4.0]), np.array([1]))
+        monkeypatch.setattr(simulator, "schedule_arrivals",
+                            lambda config: arrivals)
+        apply = simulator.apply_action
+
+        def apply_with_phantom(state, action, now=0.0):
+            apply(state, action, now)
+            if now == 3.0:
+                state.low.append(now)
+
+        monkeypatch.setattr(simulator, "apply_action", apply_with_phantom)
+        result = run(cfg, schedule_hook(ControlAction.NONE))
+        assert result.counters["conservation_violations"] > 0
+        assert [rec.queue_occupancy for rec in result.telemetry] \
+            == pytest.approx([0.0, 2.0 / 3.0 / 2, 0.0])
 
     def test_zero_load_empty_features(self):
         cfg = SimConfig(duration_s=30.0, device_count=0,
