@@ -57,6 +57,7 @@ def train_pipeline(series_list: list[list[telemetry.TelemetryRecord]],
     split = telemetry.DatasetSplit(*(telemetry.normalized(part, stats)
                                      for part in (raw.train, raw.validation,
                                                   raw.test)))
+    del raw  # training reads only the normalized split
 
     model = nn.init_parameters(
         model_config, seed=derive_seed(training_config.seed, "init"))

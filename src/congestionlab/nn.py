@@ -5,15 +5,15 @@ map of the concatenation [h_{t-1}, x_t], stored gate-major: a layer's weights
 are one (4, H, H + D) stack and its biases one (4, H) stack, where D is the
 layer's input width.  The classifier reads only the final step's top-layer
 hidden state through a dense softmax head.  Dropout (inverted, train-time
-scaled) sits between the two recurrent layers.
+scaled) sits between consecutive recurrent layers.
 
 There is one recurrence, run over a (B, T, F) batch from a zero initial
-state, with two entry points.  `forward_batch` keeps a full trace (gate
-activations, cell states, dropout masks) so backpropagation through time can
-be run over it afterwards; `forward` is the same call at B=1 for one (T, F)
-window.  `predict` returns only the inference-mode probabilities, with the
-same bits: it keeps one step of z, gates and c, and h for the next layer.
-All arrays are float64.
+state, time-major: each step runs every layer, bottom to top.
+`forward_batch` keeps a full trace (gate activations, cell states, dropout
+masks) so backpropagation through time can be run over it afterwards;
+`forward` is the same call at B=1 for one (T, F) window.  `predict` returns
+only the inference-mode probabilities, with the same bits: it holds one step
+per layer, so its memory does not grow with T.  All arrays are float64.
 
 Each step makes one matmul for all four gate pre-activations, then one
 `sigmoid` call over all four, written straight into the gate array; `tanh`
@@ -147,8 +147,11 @@ class ModelParameters:
 class ForwardTrace:
     """Everything backward() needs: per-layer stacked activations and masks.
 
-    Arrays are indexed [t, b, ...]; h_all/c_all carry T+1 entries with the
-    zero initial state at index 0.
+    Arrays are indexed [t, b, ...]; layer_h and layer_c carry T+1 entries
+    with the zero initial state at index 0.  Each hidden state is stored
+    once: layer_z[k] is the first T slots of a (T+1, B, H+D) array and
+    layer_h[k] is a view of its h columns, so layer_h[k][t] is
+    layer_z[k][t, :, :H] for t < T.
     """
 
     inputs: np.ndarray                       # (B, T, F)
@@ -173,77 +176,77 @@ def _recur(model: ModelParameters, inputs: np.ndarray, keep_trace: bool,
            ) -> tuple[np.ndarray, ForwardTrace | None]:
     """The one recurrence behind forward_batch (keep_trace) and predict.
 
-    With the trace, step t's z, gates and new c sit at index t, t and t + 1
-    of arrays that are kept.  Without it, every step reuses one slot of
-    each (c is updated in place) and only h keeps all T+1 steps, as the
-    next layer's input; the arithmetic, and so every bit, is the same.
+    Time-major: each step t runs every layer, bottom to top.  A layer's
+    z[s] is [h_t, x_t]; its step writes h_{t+1} into the h columns of
+    z[nxt] and, through the boundary's dropout mask if any, into the x
+    columns of the z[s] of the layer above.  With the trace, z and c keep
+    T+1 slots (s = t, nxt = t + 1) and the gates T, and the trace's h and z
+    are views of z.  Without it, z and c keep one slot per layer (s = nxt =
+    0) and one gate slot serves every layer, so no sequence is held.  The
+    masks, one (T, B, H) draw per boundary, bottom first, are drawn before
+    the loop.  Each element's arithmetic, and so every bit, is that of a
+    layer-major loop, with or without the trace.
     """
     cfg = model.config
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 3 or inputs.shape[2] != cfg.features:
         raise ValueError(f"expected (B, T, {cfg.features}) inputs, got {inputs.shape}")
     batch, steps, _ = inputs.shape
-    hid, rate = cfg.hidden_units, cfg.dropout_rate
-    dropout = train and rate > 0.0
-    kept = steps if keep_trace else 1
+    hid, rate, top = cfg.hidden_units, cfg.dropout_rate, len(model.layers) - 1
+    kept = steps + 1 if keep_trace else 1
 
-    trace = (ForwardTrace(inputs=inputs, layer_z=[], layer_gates=[],
-                          layer_h=[], layer_c=[]) if keep_trace else None)
+    masks = []
+    if train and rate > 0.0 and top:
+        if dropout_masks is not None:
+            masks = [dropout_masks[k] for k in range(top)]
+        elif rng is None:
+            raise ValueError("train-mode dropout needs an rng")
+        else:  # the draws of a layer-major loop, in its order
+            masks = [(rng.random((steps, batch, hid)) >= rate) / (1.0 - rate)
+                     for _ in range(top)]
 
-    layer_input = inputs.transpose(1, 0, 2)  # (T, B, D)
-    for layer_idx, lp in enumerate(model.layers):
-        w_t, b = lp.w.transpose(0, 2, 1), lp.b[:, None]
-        # z_all[t] is [h_t, x_t]: a kept z takes the inputs in once, a
-        # one-step z takes each x_t as its step comes; each h_{t+1} is
-        # written into the next step's slot as it is computed
-        z_all = np.empty((kept, batch, hid + lp.input_width))
-        if keep_trace:
-            z_all[:, :, hid:] = layer_input
-        z_all[0, :, :hid] = 0.0
-        gates_all = np.empty((kept, 4, batch, hid))
-        h_all = np.empty((steps + 1, batch, hid))
-        c_all = np.empty((steps + 1 if keep_trace else 1, batch, hid))
-        h_all[0] = c_all[0] = 0.0
-        ic = np.empty((batch, hid))  # i * c~, reused by every step
-        for t in range(steps):
-            s, nxt = (t, t + 1) if keep_trace else (0, 0)
-            if not keep_trace:
-                z_all[0, :, hid:] = layer_input[t]
-            a = z_all[s] @ w_t  # (4, B, H) pre-activations
+    # zeros: h_0 and c_0 are 0, and every other entry is written before use
+    zs = [np.zeros((kept, batch, hid + lp.input_width)) for lp in model.layers]
+    cs = [np.zeros((kept, batch, hid)) for _ in zs]
+    gates_all = ([np.empty((steps, 4, batch, hid)) for _ in zs] if keep_trace
+                 else [np.empty((1, 4, batch, hid))] * len(zs))
+    if keep_trace:
+        zs[0][:steps, :, hid:] = inputs.transpose(1, 0, 2)
+    # per layer: its state and weights, the x columns of the layer above
+    # (None at the top) and its dropout mask (None if it has none)
+    layers = list(zip(zs, cs, gates_all,
+                      [lp.w.transpose(0, 2, 1) for lp in model.layers],
+                      [lp.b[:, None] for lp in model.layers],
+                      [z[:, :, hid:] for z in zs[1:]] + [None],
+                      masks + [None] * (len(zs) - len(masks))))
+    a = np.empty((4, batch, hid))  # pre-activations, reused by every step
+    ic, tanh_c = np.empty((batch, hid)), np.empty((batch, hid))
+    for t in range(steps):
+        s, nxt = (t, t + 1) if keep_trace else (0, 0)
+        if not keep_trace:
+            zs[0][0, :, hid:] = inputs[:, t]
+        for z, c_all, g_all, w_t, b, x_up, mask in layers:
+            np.matmul(z[s], w_t, out=a)
             a += b
-            gates = sigmoid(a, out=gates_all[s])
+            gates = sigmoid(a, out=g_all[s])
             np.tanh(a[2], out=gates[2])
             i, f, c_tilde, o = gates
-            c, h = c_all[nxt], h_all[t + 1]
+            c = c_all[nxt]
             np.multiply(f, c_all[s], out=c)
             c += np.multiply(i, c_tilde, out=ic)
-            np.tanh(c, out=h)
-            h *= o
-            if nxt < kept:
-                z_all[nxt, :, :hid] = h
-        if keep_trace:
-            trace.layer_z.append(z_all)
-            trace.layer_gates.append(gates_all)
-            trace.layer_h.append(h_all)
-            trace.layer_c.append(c_all)
+            h = np.multiply(np.tanh(c, out=tanh_c), o, out=z[nxt, :, :hid])
+            if mask is not None:
+                np.multiply(h, mask[t], out=x_up[s])
+            elif x_up is not None:
+                x_up[s] = h
 
-        layer_input = h_all[1:]  # (T, B, H)
-        if dropout and layer_idx < len(model.layers) - 1:
-            if dropout_masks is not None:
-                mask = dropout_masks[layer_idx]
-            elif rng is None:
-                raise ValueError("train-mode dropout needs an rng")
-            else:
-                mask = (rng.random(layer_input.shape) >= rate) / (1.0 - rate)
-            layer_input = layer_input * mask
-            trace.dropout_masks.append(mask)
-
-    final_h = h_all[-1]  # (B, H)
-    probs = dense_softmax(model.dense, final_h)
-    if keep_trace:
-        trace.final_hidden = final_h
-        trace.probabilities = probs
-    return probs, trace
+    probs = dense_softmax(model.dense, zs[-1][-1, :, :hid])
+    if not keep_trace:
+        return probs, None
+    return probs, ForwardTrace(
+        inputs=inputs, layer_z=[z[:steps] for z in zs], layer_gates=gates_all,
+        layer_h=[z[:, :, :hid] for z in zs], layer_c=cs, dropout_masks=masks,
+        final_hidden=zs[-1][-1, :, :hid], probabilities=probs)
 
 
 def forward_batch(model: ModelParameters, inputs: np.ndarray, train: bool = False,

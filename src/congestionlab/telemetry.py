@@ -250,9 +250,13 @@ def raw_windows(series_list, window: int = WINDOW) -> list[SequenceSample]:
 
 
 def normalized(samples, stats: NormalizationStats) -> list[SequenceSample]:
-    """`samples` with their inputs min-max normalized by `stats`."""
-    return [SequenceSample(stats.transform(s.inputs), s.target)
-            for s in samples]
+    """`samples` with their inputs min-max normalized by `stats`, in one
+    transform of the stacked windows; it is elementwise, so each sample's
+    rows have the bits of transforming its window alone."""
+    if not samples:
+        return []
+    inputs = stats.transform(np.stack([s.inputs for s in samples]))
+    return [SequenceSample(x, s.target) for x, s in zip(inputs, samples)]
 
 
 @dataclass

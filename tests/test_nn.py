@@ -404,6 +404,37 @@ class TestForward:
                            for g, w in zip(got_arrays, want_arrays)), name
             assert len(got.dropout_masks) == (mode != "eval")
 
+    @pytest.mark.parametrize("hidden", [4, 64])
+    @pytest.mark.parametrize("mode", ["train-rng", "train-masks"])
+    def test_three_layer_train_trace_bits_match_reference_step(self, hidden,
+                                                               mode):
+        # two layer boundaries, each with its own mask: a loop that read
+        # one boundary's mask at both would move layer 2's z
+        rng = np.random.default_rng(100 + hidden)
+        cfg = ModelConfig(hidden_units=hidden, num_layers=3, features=5,
+                          dropout_rate=0.3)
+        model = init_parameters(cfg, seed=hidden)
+        for lp in model.layers:
+            lp.b[...] = rng.normal(scale=4.0, size=lp.b.shape)
+        for batch in (1, 3, 33):
+            x = rng.normal(scale=5.0, size=(batch, 10, 5))
+            kwargs = dict(train=True)
+            if mode == "train-masks":
+                kwargs["dropout_masks"] = [
+                    (rng.random((10, batch, hidden)) >= 0.3) / 0.7
+                    for _ in range(2)]
+            probs, got = forward_batch(
+                model, x, rng=np.random.default_rng(batch), **kwargs)
+            _, want = reference_forward_batch(
+                model, x, rng=np.random.default_rng(batch), **kwargs)
+            assert probs.tobytes() == want.probabilities.tobytes()
+            assert len(got.dropout_masks) == len(want.dropout_masks) == 2
+            for name in ("layer_z", "layer_gates", "layer_h", "layer_c",
+                         "dropout_masks"):
+                got_arrays, want_arrays = getattr(got, name), getattr(want, name)
+                assert all(g.tobytes() == w.tobytes()
+                           for g, w in zip(got_arrays, want_arrays)), name
+
     def test_bad_input_shape_rejected(self):
         model = init_parameters(ModelConfig(hidden_units=2, features=3), seed=0)
         with pytest.raises(ValueError):

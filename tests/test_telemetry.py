@@ -187,6 +187,24 @@ class TestWindowing:
         mat = telemetry.records_to_matrix(b)
         np.testing.assert_allclose(samples[2].inputs, np.clip(mat[0:10], 0, 1))
 
+    def test_stacked_normalization_matches_per_window_transform(self):
+        # stats fitted on the first series only, so the others clamp at
+        # both ends; active_devices is constant, so one span is 0
+        rng = np.random.default_rng(5)
+        series_list = [[make_record(
+            float(k + 1), occ=float(rng.uniform(0, 1)),
+            throughput_kbps=float(rng.uniform(0, 200)),
+            delay_ms=float(rng.uniform(0, 900)),
+            packet_loss_rate=float(rng.uniform(0, 1))) for k in range(n)]
+            for n in (40, 57, 83)]
+        stats = fit_normalization(records_to_matrix(series_list[0]))
+        samples = raw_windows(series_list)
+        got = normalized(samples, stats)
+        assert len(got) == len(samples) == 30 + 47 + 73
+        for g, s in zip(got, samples):
+            assert g.inputs.tobytes() == stats.transform(s.inputs).tobytes()
+            assert g.target is s.target
+
 
 class TestSplit:
     def make_samples(self, n):

@@ -179,6 +179,30 @@ class TestBackward:
             assert got.keys() == want.keys()
             assert all(got[k].tobytes() == want[k].tobytes() for k in want), batch
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_three_layer_gradient_bits_match_full_width_reference(self,
+                                                                  frozen):
+        rng = np.random.default_rng(3 + frozen)
+        cfg = ModelConfig(hidden_units=8, num_layers=3, features=5,
+                          dropout_rate=0.3)
+        model = init_parameters(cfg, seed=7)
+        for batch in (1, 3, 33):
+            x = rng.normal(size=(batch, 10, 5))
+            targets = np.eye(3)[rng.integers(0, 3, size=batch)]
+            masks = ([(rng.random((10, batch, 8)) >= 0.3) / 0.7
+                      for _ in range(2)] if frozen else None)
+            _, trace = forward_batch(model, x, train=True, rng=rng,
+                                     dropout_masks=masks)
+            # each boundary feeds the layer above through its own mask
+            assert len(trace.dropout_masks) == 2
+            for k, mask in enumerate(trace.dropout_masks):
+                assert (trace.layer_z[k + 1][..., 8:].tobytes()
+                        == (trace.layer_h[k][1:] * mask).tobytes()), k
+            got = backward(model, trace, targets)
+            want = reference_backward(model, trace, targets)
+            assert got.keys() == want.keys()
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want), batch
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         cfg = ModelConfig(hidden_units=3, num_layers=2, features=4,
@@ -557,26 +581,51 @@ class TestEvaluate:
             evaluate(model, [])
 
 
+def peak(fn) -> int:
+    """Peak bytes traced while fn runs.  numpy reports its buffers to
+    tracemalloc, and their sizes depend only on the shapes, so the peaks
+    that the tests below compare are exact."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestInferenceMemory:
     def test_validation_loss_allocates_at_most_half_a_traced_forward(self):
-        # numpy reports its buffers to tracemalloc, and their sizes depend
-        # only on the shapes, so the two peaks are exact
         model = init_parameters(ModelConfig(), seed=0)
         rng = np.random.default_rng(0)
         inputs = rng.normal(size=(510, WINDOW, FEATURE_COUNT))
         targets = np.eye(len(CongestionLevel))[rng.integers(0, 3, size=510)]
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         traced = peak(lambda: forward_batch(model, inputs))
         untraced = peak(lambda: batch_loss(model, inputs, targets))
         assert untraced <= traced / 2
+
+    def test_predict_peak_does_not_grow_with_window(self):
+        # predict holds one step per layer, so a window four times as long
+        # adds less than one step's (B, H) hidden state to the peak (only
+        # Python's own bookkeeping, under 1 KiB); a kept h sequence would
+        # add 30 of them
+        cfg = ModelConfig()
+        model = init_parameters(cfg, seed=0)
+        rng = np.random.default_rng(1)
+        short, long = (rng.normal(size=(510, steps, FEATURE_COUNT))
+                       for steps in (WINDOW, 4 * WINDOW))
+        growth = (peak(lambda: nn.predict(model, long))
+                  - peak(lambda: nn.predict(model, short)))
+        assert growth < 510 * cfg.hidden_units * 8
+
+    def test_trace_stores_each_hidden_state_once(self):
+        cfg = ModelConfig(hidden_units=6, num_layers=3, features=4)
+        model = init_parameters(cfg, seed=2)
+        x = np.random.default_rng(2).normal(size=(5, 7, 4))
+        _, trace = forward_batch(model, x, train=True,
+                                 rng=np.random.default_rng(3))
+        for h, z in zip(trace.layer_h, trace.layer_z, strict=True):
+            assert np.shares_memory(h, z)
+            assert h[1:7].tobytes() == z[1:, :, :6].tobytes()
 
 
 def scored_as(probs, levels) -> EvaluationResult:
