@@ -36,7 +36,7 @@ trained = experiment.train_pipeline(series_list, model_config,
                                     training_config)
 
 result = training.evaluate(trained.model, trained.split.test)
-labels = [int(np.argmax(s.target)) for s in trained.split.test]
+labels = trained.split.test.targets.argmax(axis=1)
 majority = np.bincount(labels, minlength=3).max() / len(labels)
 print(f"stopped at epoch {trained.report.stopping_epoch} "
       f"(best {trained.report.best_epoch})")

@@ -7,7 +7,7 @@ against a fuzzy-logic baseline.
 """
 
 from .telemetry import (CongestionLevel, DatasetSplit, NormalizationStats,
-                        SequenceSample, TelemetryRecord)
+                        SampleSet, SequenceSample, TelemetryRecord)
 from .controller import PolicyConfig, congestion_score, decide
 from .nn import ModelConfig, forward, init_parameters
 from .simulator import ControlAction, LoadScenario, SimConfig
@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CongestionLevel", "ControlAction", "DatasetSplit", "LoadScenario",
-    "ModelConfig", "NormalizationStats", "PolicyConfig", "SequenceSample",
-    "SimConfig", "TelemetryRecord", "TrainingConfig", "congestion_score",
-    "decide", "evaluate", "forward", "init_parameters", "train",
+    "ModelConfig", "NormalizationStats", "PolicyConfig", "SampleSet",
+    "SequenceSample", "SimConfig", "TelemetryRecord", "TrainingConfig",
+    "congestion_score", "decide", "evaluate", "forward", "init_parameters",
+    "train",
 ]

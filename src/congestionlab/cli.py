@@ -142,10 +142,10 @@ def _collect_csv_paths(data_args: list[str]) -> list[Path]:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set)
     series_list = [telemetry.ingest_csv(p) for p in _collect_csv_paths(args.data)]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trained = experiment.train_pipeline(series_list, config.model,
                                         config.training)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt.save_checkpoint(out_dir / "checkpoint.txt", trained.model, trained.stats)
     (out_dir / "training_report.txt").write_text(trained.report.to_text())
     result = training.evaluate(trained.model, trained.split.test)
@@ -161,8 +161,7 @@ def cmd_evaluate(args) -> int:
     samples = telemetry.normalized(telemetry.raw_windows(series_list), stats)
     if not samples:
         raise ConfigError("no usable windows in the provided data")
-    result = training.evaluate(model, samples)
-    print(result)
+    print(training.evaluate(model, samples))
     return 0
 
 

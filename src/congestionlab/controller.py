@@ -6,7 +6,7 @@ the window on [0,1], round the score to SCORE_DECIMALS and apply the
 threshold policy.  A score below the threshold (0.5 by default) means no
 action; at or above it, a non-decreasing score triggers traffic shaping and
 a declining one a QoS adjustment.  Predictors differ only in their window
-length and scorer: the LSTM collapses its class probabilities into an
+and scorer: the LSTM collapses its class probabilities into an
 expected congestion level (SCORE_WEIGHTS 0 / 0.5 / 1), the fuzzy baseline
 defuzzifies its fixed rule base, and the uncontrolled baseline has no scorer
 and never acts.  The controller's `policy` holds the one threshold it decides
@@ -24,7 +24,7 @@ import numpy as np
 from . import fls, nn
 from .simulator import ControlAction
 from .telemetry import (WINDOW, NormalizationStats, TelemetryRecord,
-                        check_fields, records_to_matrix)
+                        check_fields)
 
 
 # expected congestion level of the LOW / MEDIUM / HIGH class probabilities
@@ -72,16 +72,19 @@ class Controller:
     without it this is the uncontrolled baseline, which never acts."""
 
     predictor_id = "none"
-    score_window = None  # (window of records) -> score in [0,1]
+    score_window = None  # (window of observe(record)s) -> score in [0,1]
 
     def __init__(self, window_length: int = 1,
                  policy: PolicyConfig | None = None):
         self.policy = policy or PolicyConfig()
-        self.window: deque[TelemetryRecord] = deque(maxlen=window_length)
+        self.window: deque = deque(maxlen=window_length)
         self.last_score: float | None = None
 
+    def observe(self, record: TelemetryRecord):  # what the window keeps of it
+        return record
+
     def control_step(self, record: TelemetryRecord) -> ControlAction:
-        self.window.append(record)
+        self.window.append(self.observe(record))
         score = None
         if self.score_window and len(self.window) == self.window.maxlen:
             score = round(self.score_window(self.window), SCORE_DECIMALS)
@@ -96,8 +99,8 @@ class Controller:
 
 
 class LstmController(Controller):
-    """Normalize the last WINDOW records with the training-time stats, run the
-    model and score its class probabilities."""
+    """Run the model over the last WINDOW records, normalized with the
+    training-time stats, and score its class probabilities."""
 
     predictor_id = "lstm"
 
@@ -109,9 +112,13 @@ class LstmController(Controller):
         self.model = model
         self.stats = stats
 
+    def observe(self, record: TelemetryRecord) -> np.ndarray:
+        # normalized once, on arrival; the transform is elementwise, so the
+        # window's rows have the bits of transforming the window whole
+        return self.stats.transform(record.features())
+
     def score_window(self, window) -> float:
-        inputs = self.stats.transform(records_to_matrix(list(window)))
-        probs, _ = nn.forward(self.model, inputs, train=False)
+        probs, _ = nn.forward(self.model, np.stack(window), train=False)
         return congestion_score(probs)
 
 

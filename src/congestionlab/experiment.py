@@ -12,8 +12,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import metrics as metrics_mod
 from . import nn, simulator, telemetry, training
 from .controller import (DECISION_LOG_HEADER, PREDICTORS, Controller,
@@ -53,7 +51,7 @@ def train_pipeline(series_list: list[list[telemetry.TelemetryRecord]],
     raw = telemetry.split_dataset(telemetry.raw_windows(series_list, window),
                                   seed=training_config.seed)
     stats = telemetry.fit_normalization(
-        np.concatenate([sample.inputs for sample in raw.train]))
+        raw.train.inputs.reshape(-1, telemetry.FEATURE_COUNT))
     split = telemetry.DatasetSplit(*(telemetry.normalized(part, stats)
                                      for part in (raw.train, raw.validation,
                                                   raw.test)))

@@ -38,9 +38,8 @@ def _rule(r: int, t: int, o: int) -> int:
     return o
 
 
-# (rsi_term, trend_term, occupancy_term) -> output congestion term
-RULE_TABLE = {(r, t, o): _rule(r, t, o)
-              for r in range(3) for t in range(3) for o in range(3)}
+# output congestion term, indexed [rsi_term, trend_term, occupancy_term]
+RULE_TABLE = np.fromfunction(np.vectorize(_rule), (3, 3, 3), dtype=int)
 
 # Three non-overlapping symmetric output triangles of half-width 1/6 inside
 # [0,1], one row per term, sampled on the defuzzification grid.  Symmetry
@@ -102,11 +101,11 @@ def fls_score(rsi_value: float, trend_value: float, occupancy: float) -> float:
     deg_t = membership(trend_value, TREND_PEAKS)
     deg_o = membership(occupancy, OCCUPANCY_PEAKS)
 
-    # rule firing strengths aggregated per output term (max over rules)
+    # each rule fires at the min of its degrees, and each output term at the
+    # max over its rules
+    firing = np.minimum.outer(np.minimum.outer(deg_r, deg_t), deg_o)
     strength = np.zeros(3)
-    for (r, t, o), out_term in RULE_TABLE.items():
-        strength[out_term] = max(strength[out_term],
-                                 min(deg_r[r], deg_t[t], deg_o[o]))
+    np.maximum.at(strength, RULE_TABLE, firing)
 
     # each term clipped at its strength, aggregated by max
     aggregate = np.minimum(OUTPUT_TERMS, strength[:, None]).max(axis=0)

@@ -1,10 +1,10 @@
 """Telemetry data model and the raw-records -> training-samples pipeline.
 
 One TelemetryRecord summarizes a network over one reporting interval.  Records
-become SequenceSamples by min-max normalizing the feature columns (stats fitted
-on the training split only) and sliding a stride-1 window of WINDOW records
-over the series; each window is labeled with the congestion level of the step
-that immediately follows it.  FEATURE_NAMES, WINDOW and CongestionLevel fix
+become a SampleSet by sliding a stride-1 window of WINDOW records over each
+series and min-max normalizing the feature columns (stats fitted on the
+training split only); each window is labeled with the congestion level of the
+step that immediately follows it.  FEATURE_NAMES, WINDOW and CongestionLevel fix
 the model's input and output shape.
 """
 
@@ -117,13 +117,8 @@ class TelemetryRecord:
             raise TelemetryError("active_devices must be non-negative")
 
     def features(self) -> np.ndarray:
-        return np.array([
-            self.throughput_kbps,
-            self.delay_ms,
-            self.packet_loss_rate,
-            self.queue_occupancy,
-            float(self.active_devices),
-        ])
+        return np.array([getattr(self, name) for name in FEATURE_NAMES],
+                        dtype=float)
 
     def csv_row(self) -> str:
         return (f"{self.timestamp_s:.6f},{self.throughput_kbps:.6f},"
@@ -184,9 +179,7 @@ def ingest_csv(path) -> list[TelemetryRecord]:
 
 def records_to_matrix(records) -> np.ndarray:
     """Stack the feature vectors of a record series into an (n, F) matrix."""
-    if not records:
-        return np.zeros((0, FEATURE_COUNT))
-    return np.stack([r.features() for r in records])
+    return np.array([r.features() for r in records]).reshape(-1, FEATURE_COUNT)
 
 
 @dataclass
@@ -222,10 +215,9 @@ def fit_normalization(rows) -> NormalizationStats:
     return NormalizationStats(rows.min(axis=0), rows.max(axis=0))
 
 
-def one_hot(level: CongestionLevel) -> np.ndarray:
-    out = np.zeros(len(CongestionLevel))
-    out[int(level)] = 1.0
-    return out
+def one_hot(levels) -> np.ndarray:
+    """The one-hot row of a level, or (N, C) rows of N levels."""
+    return np.eye(len(CongestionLevel))[np.asarray(levels, dtype=int)]
 
 
 @dataclass(frozen=True)
@@ -236,53 +228,59 @@ class SequenceSample:
     target: np.ndarray
 
 
-def raw_windows(series_list, window: int = WINDOW) -> list[SequenceSample]:
+@dataclass(frozen=True)
+class SampleSet:
+    """N windows as two arrays, inputs (N, T, F) and one-hot targets (N, C);
+    iterating yields each window as a SequenceSample of views into them."""
+
+    inputs: np.ndarray
+    targets: np.ndarray
+
+    def __len__(self):
+        return len(self.inputs)
+
+    def __iter__(self):
+        return map(SequenceSample, self.inputs, self.targets)
+
+
+def raw_windows(series_list, window: int = WINDOW) -> SampleSet:
     """Slide a stride-1 window over each series' raw feature rows; the sample
     at position t covers records [t-window, t) and is labeled with record t's
     congestion level, so a series of at most `window` records yields none."""
-    samples = []
+    inputs, labels = [np.empty((0, window, FEATURE_COUNT))], []
     for records in series_list:
-        mat = records_to_matrix(records)
-        samples += [SequenceSample(inputs=mat[t - window:t],
-                                   target=one_hot(records[t].label))
-                    for t in range(window, len(records))]
-    return samples
+        if len(records) > window:  # the last record is a label, never an input
+            cuts = np.lib.stride_tricks.sliding_window_view(  # (n - window, F, window)
+                records_to_matrix(records[:-1]), window, axis=0)
+            inputs.append(cuts.transpose(0, 2, 1))
+            labels += [r.label for r in records[window:]]
+    return SampleSet(np.concatenate(inputs), one_hot(labels))
 
 
-def normalized(samples, stats: NormalizationStats) -> list[SequenceSample]:
-    """`samples` with their inputs min-max normalized by `stats`, in one
-    transform of the stacked windows; it is elementwise, so each sample's
-    rows have the bits of transforming its window alone."""
-    if not samples:
-        return []
-    inputs = stats.transform(np.stack([s.inputs for s in samples]))
-    return [SequenceSample(x, s.target) for x, s in zip(inputs, samples)]
+def normalized(samples: SampleSet, stats: NormalizationStats) -> SampleSet:
+    """`samples` with their inputs min-max normalized by `stats` in one
+    elementwise transform: each window gets the bits of its own transform."""
+    return SampleSet(stats.transform(samples.inputs), samples.targets)
 
 
 @dataclass
 class DatasetSplit:
-    train: list[SequenceSample]
-    validation: list[SequenceSample]
-    test: list[SequenceSample]
+    train: SampleSet
+    validation: SampleSet
+    test: SampleSet
 
     def __len__(self):
         return len(self.train) + len(self.validation) + len(self.test)
 
 
-def split_dataset(samples, seed: int = 0) -> DatasetSplit:
-    """Seeded shuffle then contiguous partition into
-    floor(0.8*n) / floor(0.1*n) / remainder."""
+def split_dataset(samples: SampleSet, seed: int = 0) -> DatasetSplit:
+    """Seeded shuffle then contiguous partition into floor(0.8*n) /
+    floor(0.1*n) / remainder rows of `samples`, in permutation order."""
     n = len(samples)
     if n < 10:
         raise TelemetryError(f"need at least 10 samples to split, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(np.floor(0.8 * n))
     n_val = int(np.floor(0.1 * n))
-    idx_train = order[:n_train]
-    idx_val = order[n_train:n_train + n_val]
-    idx_test = order[n_train + n_val:]
-    return DatasetSplit(
-        train=[samples[i] for i in idx_train],
-        validation=[samples[i] for i in idx_val],
-        test=[samples[i] for i in idx_test],
-    )
+    return DatasetSplit(*(SampleSet(samples.inputs[idx], samples.targets[idx])
+                          for idx in np.split(order, [n_train, n_train + n_val])))

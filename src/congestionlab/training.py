@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .telemetry import DatasetSplit, SequenceSample, check_fields
+from .telemetry import DatasetSplit, SampleSet, check_fields
 from .nn import (ForwardTrace, ModelParameters, forward_batch, parameter_items,
                  predict)
 
@@ -260,10 +260,8 @@ def adam_step(model: ModelParameters, grads: dict[str, np.ndarray],
     return model, state
 
 
-def stack_samples(samples: list[SequenceSample]) -> tuple[np.ndarray, np.ndarray]:
-    inputs = np.stack([s.inputs for s in samples])
-    targets = np.stack([s.target for s in samples])
-    return inputs, targets
+def stack_samples(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    return samples.inputs, samples.targets
 
 
 @dataclass
@@ -294,13 +292,11 @@ class EvaluationResult:
                    recall=diag / np.maximum(confusion.sum(axis=1), 1))
 
 
-def evaluate(model: ModelParameters, samples: list[SequenceSample]
-             ) -> EvaluationResult:
+def evaluate(model: ModelParameters, samples: SampleSet) -> EvaluationResult:
     """Inference-mode accuracy, per-class precision/recall, confusion matrix."""
     if not samples:
         raise ValueError("cannot evaluate on an empty sample set")
-    inputs, targets = stack_samples(samples)
-    return EvaluationResult.of(predict(model, inputs), targets)
+    return EvaluationResult.of(predict(model, samples.inputs), samples.targets)
 
 
 def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
@@ -317,8 +313,8 @@ def train(model: ModelParameters, splits: DatasetSplit, config: TrainingConfig
     if not splits.train or not splits.validation:
         raise ValueError("train and validation splits must be non-empty")
     rng = np.random.default_rng(config.seed)
-    train_inputs, train_targets = stack_samples(splits.train)
-    val_inputs, val_targets = stack_samples(splits.validation)
+    train_inputs, train_targets = splits.train.inputs, splits.train.targets
+    val_inputs, val_targets = splits.validation.inputs, splits.validation.targets
 
     state = AdamState.zeros_like(model)
     report = TrainingReport()

@@ -7,8 +7,9 @@ import pytest
 from congestionlab.checkpoint import save_checkpoint
 from congestionlab.cli import load_config, main, ConfigError
 from congestionlab.nn import ModelConfig, init_parameters
-from congestionlab.telemetry import (CongestionLevel, NormalizationStats,
-                                     TelemetryRecord, write_csv)
+from congestionlab.telemetry import (FEATURE_COUNT, WINDOW, CongestionLevel,
+                                     NormalizationStats, TelemetryRecord,
+                                     write_csv)
 
 FAST_SIM = ["--set", "sim.duration_s=40", "--set",
             "sim.telemetry_interval_s=1.0"]
@@ -192,6 +193,39 @@ class TestTrainEvaluate:
         code = main(["train", "--data", str(tmp_path / "nonexistent"),
                      "--out-dir", str(out)])
         assert code == 1
+        assert not out.exists()
+
+    @staticmethod
+    def write_series(path, lengths):
+        path.mkdir()
+        for k, n in enumerate(lengths):
+            write_csv(path / f"telemetry_high_{k}.csv", [
+                TelemetryRecord(float(t + 1), 80.0, 20.0, 0.1, 0.5, 20,
+                                CongestionLevel(t % 3)) for t in range(n)])
+
+    def test_evaluate_without_a_full_window_is_error(self, tmp_path, capsys):
+        checkpoint = tmp_path / "checkpoint.txt"
+        save_checkpoint(checkpoint, init_parameters(
+            ModelConfig(hidden_units=2, num_layers=1), seed=0),
+            NormalizationStats([0.0] * FEATURE_COUNT, [1.0] * FEATURE_COUNT))
+        self.write_series(tmp_path / "data", [WINDOW, 1, WINDOW - 3])
+        code = main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--data", str(tmp_path / "data")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no usable windows" in captured.err
+
+    def test_train_on_fewer_than_10_windows_is_error(self, tmp_path, capsys):
+        # 4 + 5 windows, one short of a split
+        self.write_series(tmp_path / "data", [WINDOW + 4, WINDOW, WINDOW + 5])
+        out = tmp_path / "out"
+        code = main(["train", "--data", str(tmp_path / "data"),
+                     "--out-dir", str(out)] + FAST_TRAIN)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 10 samples" in captured.err
         assert not out.exists()
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from congestionlab.fls import (GRID, OCCUPANCY_PEAKS, OUTPUT_CENTRES,
-                               OUTPUT_TERMS, RSI_PEAKS, RULE_TABLE, fls_score,
-                               membership, rsi, trend)
+                               OUTPUT_TERMS, RSI_PEAKS, RULE_TABLE, TREND_PEAKS,
+                               _rule, fls_score, membership, rsi, trend)
 
 
 class TestRsi:
@@ -81,8 +81,8 @@ class TestPartitions:
 
 class TestRuleTable:
     def test_covers_all_combinations(self):
-        assert len(RULE_TABLE) == 27
-        assert set(RULE_TABLE.values()) <= {0, 1, 2}
+        assert RULE_TABLE.shape == (3, 3, 3)
+        assert set(RULE_TABLE.flat) <= {0, 1, 2}
 
     def test_monotone_in_each_input(self):
         table = RULE_TABLE
@@ -136,3 +136,31 @@ class TestFlsScore:
 
     def test_deterministic(self):
         assert fls_score(42.0, 0.3, 0.55) == fls_score(42.0, 0.3, 0.55)
+
+    def test_matches_rule_by_rule_reference(self):
+        # the 27 rules one at a time, as Mamdani inference states them; the
+        # array min/max gives the same firing strengths, so the same bits
+        def reference(r_value, t_value, o_value):
+            degrees = (membership(r_value, RSI_PEAKS),
+                       membership(t_value, TREND_PEAKS),
+                       membership(o_value, OCCUPANCY_PEAKS))
+            strength = np.zeros(3)
+            for r in range(3):
+                for t in range(3):
+                    for o in range(3):
+                        k = _rule(r, t, o)
+                        strength[k] = max(strength[k], min(
+                            degrees[0][r], degrees[1][t], degrees[2][o]))
+            aggregate = np.minimum(OUTPUT_TERMS, strength[:, None]).max(axis=0)
+            total = aggregate.sum()
+            return 0.0 if total == 0.0 else float((GRID * aggregate).sum()
+                                                   / total)
+
+        rng = np.random.default_rng(3)
+        inputs = [(float(rng.uniform(-10, 110)), float(rng.uniform(-1.5, 1.5)),
+                   float(rng.uniform(-0.1, 1.1))) for _ in range(500)]
+        # the peaks themselves, where degrees are exactly 0 or 1
+        inputs += [(r, t, o) for r in RSI_PEAKS for t in TREND_PEAKS
+                   for o in OCCUPANCY_PEAKS]
+        for args in inputs:
+            assert fls_score(*args) == reference(*args), args

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from congestionlab import telemetry
-from congestionlab.telemetry import (CongestionLevel, NormalizationStats,
+from congestionlab.telemetry import (FEATURE_COUNT, WINDOW, CongestionLevel,
+                                     NormalizationStats, SampleSet,
                                      TelemetryError, TelemetryRecord,
                                      fit_normalization, ingest_csv,
                                      normalized, one_hot, raw_windows,
@@ -163,7 +164,9 @@ class TestWindowing:
         assert len(identity_windows([make_series(12)])) == 2
 
     def test_length_10_is_too_short(self):
-        assert identity_windows([make_series(10)]) == []
+        samples = identity_windows([make_series(10)])
+        assert len(samples) == 0
+        assert samples.inputs.shape == (0, 10, FEATURE_COUNT)
 
     def test_length_11_target_is_record_10(self):
         series = make_series(11)
@@ -171,21 +174,21 @@ class TestWindowing:
                                  label=CongestionLevel.HIGH)
         samples = identity_windows([series])
         assert len(samples) == 1
-        np.testing.assert_array_equal(samples[0].target, [0, 0, 1])
+        np.testing.assert_array_equal(samples.targets[0], [0, 0, 1])
 
     def test_window_covers_preceding_records(self):
         series = make_series(12)
         samples = identity_windows([series])
         mat = telemetry.records_to_matrix(series)
-        np.testing.assert_allclose(samples[0].inputs, np.clip(mat[0:10], 0, 1))
-        np.testing.assert_allclose(samples[1].inputs, np.clip(mat[1:11], 0, 1))
+        np.testing.assert_allclose(samples.inputs[0], np.clip(mat[0:10], 0, 1))
+        np.testing.assert_allclose(samples.inputs[1], np.clip(mat[1:11], 0, 1))
 
     def test_series_cut_in_order_short_ones_skipped(self):
         a, b = make_series(12), make_series(13, start=100.0)
         samples = identity_windows([a, make_series(5), b])
         assert len(samples) == 2 + 3
         mat = telemetry.records_to_matrix(b)
-        np.testing.assert_allclose(samples[2].inputs, np.clip(mat[0:10], 0, 1))
+        np.testing.assert_allclose(samples.inputs[2], np.clip(mat[0:10], 0, 1))
 
     def test_stacked_normalization_matches_per_window_transform(self):
         # stats fitted on the first series only, so the others clamp at
@@ -201,9 +204,44 @@ class TestWindowing:
         samples = raw_windows(series_list)
         got = normalized(samples, stats)
         assert len(got) == len(samples) == 30 + 47 + 73
-        for g, s in zip(got, samples):
+        assert got.targets is samples.targets
+        for g, s in zip(got, samples, strict=True):
             assert g.inputs.tobytes() == stats.transform(s.inputs).tobytes()
-            assert g.target is s.target
+
+    def test_ragged_series_match_per_window_slices(self):
+        # the per-window cut of each series' matrix, and one_hot of the
+        # record after the window, are the reference
+        rng = np.random.default_rng(7)
+        series_list = [[make_record(
+            float(k + 1), occ=float(rng.uniform(0, 1)),
+            delay_ms=float(rng.uniform(0, 900)),
+            label=CongestionLevel(int(rng.integers(0, 3)))) for k in range(n)]
+            for n in (0, 23, WINDOW, 11, 1, WINDOW + 1, 40, WINDOW - 1)]
+        inputs, targets = [], []
+        for series in series_list:
+            mat = records_to_matrix(series)
+            for t in range(WINDOW, len(series)):
+                inputs.append(mat[t - WINDOW:t])
+                targets.append(one_hot(series[t].label))
+        got = raw_windows(series_list)
+        assert len(got) == len(inputs) == 13 + 1 + 1 + 30
+        assert got.inputs.tobytes() == np.stack(inputs).tobytes()
+        assert got.targets.tobytes() == np.stack(targets).tobytes()
+
+    def test_all_short_series_give_empty_arrays(self):
+        got = raw_windows([make_series(n) for n in (0, 1, WINDOW)])
+        assert got.inputs.shape == (0, WINDOW, FEATURE_COUNT)
+        assert got.targets.shape == (0, len(CongestionLevel))
+
+    def test_iteration_yields_views_of_the_arrays(self):
+        samples = identity_windows([make_series(15)])
+        views = list(samples)
+        assert len(views) == len(samples) == 5
+        for k, view in enumerate(views):
+            assert np.shares_memory(view.inputs, samples.inputs)
+            assert np.shares_memory(view.target, samples.targets)
+            assert view.inputs.tobytes() == samples.inputs[k].tobytes()
+            assert view.target.tobytes() == samples.targets[k].tobytes()
 
 
 class TestSplit:
@@ -236,3 +274,14 @@ class TestSplit:
         samples = self.make_samples(37)
         split = split_dataset(samples, seed=2)
         assert len(split) == 37
+
+    def test_parts_are_the_permutations_rows_in_order(self):
+        samples = self.make_samples(43)
+        split = split_dataset(samples, seed=3)
+        order = np.random.default_rng(3).permutation(43)
+        rows = np.split(order, [34, 38])  # floor(0.8 * 43), + floor(0.1 * 43)
+        for part, idx in zip((split.train, split.validation, split.test),
+                             rows, strict=True):
+            assert isinstance(part, SampleSet)
+            assert part.inputs.tobytes() == samples.inputs[idx].tobytes()
+            assert part.targets.tobytes() == samples.targets[idx].tobytes()

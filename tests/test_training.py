@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from congestionlab import nn, training
+from congestionlab import nn, telemetry, training
 from congestionlab.nn import (ModelConfig, flatten_parameters, forward,
                               forward_batch, init_parameters,
                               parameter_count, parameter_items,
                               unflatten_parameters)
 from congestionlab.telemetry import (FEATURE_COUNT, WINDOW, CongestionLevel,
-                                     DatasetSplit, SequenceSample)
+                                     DatasetSplit, SampleSet)
 from congestionlab.training import (MIN_DELTA, AdamState, EvaluationResult,
                                     TrainingConfig, TrainingDivergedError,
                                     adam_step, backward,
@@ -402,17 +402,16 @@ class TestClipAndAdam:
 def toy_split(n=20, seed=0):
     """Separable toy dataset: class = which feature carries the big value."""
     rng = np.random.default_rng(seed)
-    samples = []
+    inputs, classes = [], []
     for _ in range(n):
-        cls = int(rng.integers(0, 3))
-        x = rng.normal(scale=0.05, size=(4, 3))
-        x[:, cls] += 1.0
-        y = np.zeros(3)
-        y[cls] = 1.0
-        samples.append(SequenceSample(inputs=x, target=y))
+        classes.append(int(rng.integers(0, 3)))
+        inputs.append(rng.normal(scale=0.05, size=(4, 3)))
+        inputs[-1][:, classes[-1]] += 1.0
+    inputs, targets = np.stack(inputs), np.eye(3)[classes]
     k = max(2, n // 5)
-    return DatasetSplit(train=samples[:-k], validation=samples[-k:],
-                        test=samples[-k:])
+    held_out = SampleSet(inputs[-k:], targets[-k:])
+    return DatasetSplit(train=SampleSet(inputs[:-k], targets[:-k]),
+                        validation=held_out, test=held_out)
 
 
 class TestTrainLoop:
@@ -437,11 +436,9 @@ class TestTrainLoop:
     def test_patience_one_worsening_val_stops_after_epoch_2(self):
         # empty-ish training set whose single batch pushes val loss up:
         # craft by using a validation target opposite to the training one
-        train_s = [SequenceSample(inputs=np.ones((2, 3)),
-                                  target=np.array([1.0, 0.0, 0.0]))]
-        val_s = [SequenceSample(inputs=np.ones((2, 3)),
-                                target=np.array([0.0, 0.0, 1.0]))]
-        split = DatasetSplit(train=train_s * 4, validation=val_s, test=val_s)
+        train_s = SampleSet(np.ones((4, 2, 3)), np.array([[1.0, 0.0, 0.0]] * 4))
+        val_s = SampleSet(np.ones((1, 2, 3)), np.array([[0.0, 0.0, 1.0]]))
+        split = DatasetSplit(train=train_s, validation=val_s, test=val_s)
         model = init_parameters(self.small_config(), seed=0)
         cfg = TrainingConfig(max_epochs=50, batch_size=4, patience=1, seed=0)
         _, report = train(model, split, cfg)
@@ -537,8 +534,9 @@ class TestTrainLoop:
     def test_empty_split_rejected(self):
         model = init_parameters(self.small_config(), seed=0)
         with pytest.raises(ValueError):
-            train(model, DatasetSplit(train=[], validation=[], test=[]),
-                  TrainingConfig())
+            empty = SampleSet(np.empty((0, 2, 3)), np.empty((0, 3)))
+            train(model, DatasetSplit(train=empty, validation=empty,
+                                      test=empty), TrainingConfig())
 
 
 class TestEvaluate:
@@ -578,7 +576,7 @@ class TestEvaluate:
         model = init_parameters(ModelConfig(hidden_units=2, features=3),
                                 seed=0)
         with pytest.raises(ValueError):
-            evaluate(model, [])
+            evaluate(model, SampleSet(np.empty((0, 2, 3)), np.empty((0, 3))))
 
 
 def peak(fn) -> int:
@@ -626,6 +624,47 @@ class TestInferenceMemory:
         for h, z in zip(trace.layer_h, trace.layer_z, strict=True):
             assert np.shares_memory(h, z)
             assert h[1:7].tobytes() == z[1:, :, :6].tobytes()
+
+
+def normalized_split(series_count=10, length=510) -> DatasetSplit:
+    """train_pipeline's split of series_count * (length - WINDOW) windows."""
+    rng = np.random.default_rng(4)
+    series_list = [[telemetry.TelemetryRecord(
+        float(k + 1), float(rng.uniform(0, 200)), float(rng.uniform(0, 900)),
+        0.1, float(rng.uniform(0, 1)), 20,
+        CongestionLevel(int(rng.integers(0, 3)))) for k in range(length)]
+        for _ in range(series_count)]
+    raw = telemetry.split_dataset(telemetry.raw_windows(series_list))
+    stats = telemetry.fit_normalization(
+        raw.train.inputs.reshape(-1, FEATURE_COUNT))
+    return DatasetSplit(*(telemetry.normalized(part, stats)
+                          for part in (raw.train, raw.validation, raw.test)))
+
+
+class TestDatasetMemory:
+    def test_split_holds_little_beyond_its_arrays(self):
+        # a SampleSet is two arrays; a SequenceSample, an input view and a
+        # one-hot array per window would add some 340 bytes to its 424 bytes
+        # of arrays
+        tracemalloc.start()
+        try:
+            split = normalized_split()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        parts = (split.train, split.validation, split.test)
+        assert len(split) == 5000
+        assert held <= 1.1 * sum(part.inputs.nbytes + part.targets.nbytes
+                                 for part in parts)
+
+    def test_training_reads_the_train_inputs_in_place(self):
+        # a second copy of the train inputs would add their nbytes to the
+        # peak; at this model size, all else one epoch allocates (the
+        # batches, their traces, validation's predict) is under half that
+        split = normalized_split()
+        model = init_parameters(ModelConfig(hidden_units=4), seed=0)
+        traced = peak(lambda: train(model, split, TrainingConfig(max_epochs=1)))
+        assert traced < split.train.inputs.nbytes / 2
 
 
 def scored_as(probs, levels) -> EvaluationResult:
